@@ -824,8 +824,8 @@ type bu_workload = {
   bu_title : string;
   bu_db : int -> Gdp_logic.Database.t;
   bu_goal : Gdp_logic.Term.t;
-  bu_console_sizes : int list;  (* naive + scan + indexed + top-down probes *)
-  bu_json_sizes : int list;  (* scan + indexed only: scales past naive *)
+  bu_console_sizes : int list;  (* scan + indexed + top-down probes *)
+  bu_json_sizes : int list;  (* scan + indexed only: scales past top-down *)
   bu_json_small : int list;  (* CI smoke scales *)
   bu_script : int -> Gdp_logic.Bottom_up.update list;
       (* engine-incr update script at a given scale *)
@@ -944,7 +944,10 @@ type bu_row = {
 let bu_measure db scale =
   let open Gdp_logic in
   let scan_ms, scan_fp =
-    time_ms (fun () -> Bottom_up.run ~indexing:false db)
+    time_ms (fun () ->
+        Bottom_up.run
+          ~config:{ Bottom_up.Config.default with indexing = false }
+          db)
   in
   let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
   {
@@ -964,12 +967,12 @@ let bu_measure db scale =
 
 let bu_speedup r = r.br_scan_ms /. Float.max 0.01 r.br_indexed_ms
 
-(* naive vs scan vs indexed bottom-up vs top-down SLDNF on recursive /
-   negation / guarded workloads at growing scale — the quantification of
-   the "Prolog's computational inefficiency" the paper only mentions.
-   The top-down column proves a sample of the derived atoms (up to 100)
-   with the ancestor loop check on; "agree" additionally checks all
-   fixpoint configurations derive identical fact sets. *)
+(* scan vs indexed bottom-up vs top-down SLDNF on recursive / negation /
+   guarded workloads at growing scale — the quantification of the
+   "Prolog's computational inefficiency" the paper only mentions. The
+   top-down column proves a sample of the derived atoms (up to 100) with
+   the ancestor loop check on; "agree" additionally checks both fixpoint
+   configurations derive identical fact sets. *)
 let engine_bu () =
   let open Gdp_logic in
   let topdown_options = { Solve.default_options with Solve.loop_check = true } in
@@ -988,23 +991,18 @@ let engine_bu () =
   List.iter
     (fun w ->
       section w.bu_title;
-      row "  %8s %10s %10s %8s %10s %8s %8s %14s  %s\n" "scale" "naive_ms"
-        "scan_ms" "s_fire" "idx_ms" "i_fire" "speedup" "topdown_ms" "agree";
+      row "  %8s %10s %8s %10s %8s %8s %14s  %s\n" "scale" "scan_ms" "s_fire"
+        "idx_ms" "i_fire" "speedup" "topdown_ms" "agree";
       List.iter
         (fun scale ->
           let db = w.bu_db scale in
-          let naive_ms, naive_fp =
-            time_ms (fun () -> Bottom_up.run ~strategy:Bottom_up.Naive db)
-          in
           let r = bu_measure db scale in
           let idx_fp = Bottom_up.run db in
           let derived = Bottom_up.facts_matching idx_fp w.bu_goal in
           let td_ms, n_probes, td_ok = probe db derived in
-          let agree =
-            r.br_agree && Bottom_up.count naive_fp = r.br_facts && td_ok
-          in
-          row "  %8d %10.1f %10.1f %8d %10.1f %8d %7.1fx %10.1f/%-3d  %s\n"
-            scale naive_ms r.br_scan_ms r.br_scan_firings r.br_indexed_ms
+          let agree = r.br_agree && td_ok in
+          row "  %8d %10.1f %8d %10.1f %8d %7.1fx %10.1f/%-3d  %s\n" scale
+            r.br_scan_ms r.br_scan_firings r.br_indexed_ms
             r.br_indexed_firings (bu_speedup r) td_ms n_probes
             (if agree then "yes" else "DISAGREE"))
         w.bu_console_sizes)
@@ -1259,7 +1257,10 @@ let par_measure w scale =
   let runs =
     List.map
       (fun jobs ->
-        let ms, fp = time_ms (fun () -> Bottom_up.run ~jobs db) in
+        let ms, fp =
+          time_ms (fun () ->
+              Bottom_up.run ~config:{ Bottom_up.Config.default with jobs } db)
+        in
         (jobs, ms, fp))
       par_jobs
   in
@@ -1344,7 +1345,10 @@ let prov_measure w scale =
     if ms2 < ms1 then (ms2, fp2) else (ms1, fp)
   in
   let off_ms, off_fp = best (fun () -> Bottom_up.run db) in
-  let on_ms, on_fp = best (fun () -> Bottom_up.run ~lineage:true db) in
+  let on_ms, on_fp =
+    best (fun () ->
+        Bottom_up.run ~config:{ Bottom_up.Config.default with lineage = true } db)
+  in
   let s_off = Bottom_up.stats off_fp and s_on = Bottom_up.stats on_fp in
   (* sample up to 100 derived (witnessed) tuples and reconstruct *)
   let derived =
@@ -1391,15 +1395,15 @@ let engine_prov () =
         w.bu_console_sizes)
     bu_workloads
 
-(* --------------------------- engine-spatial: R-tree / grid joins *)
+(* ----------------------------------- engine-spatial: R-tree joins *)
 
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
    region_mem or bounded pt_dist guard — exactly the joins the spatial
-   planner compiles to index probes. Each database is evaluated three
-   ways: the scan baseline (~spatial_indexing:false, every annotated
-   join through the hash/scan path), uniform-grid indexes, and the
-   default STR-packed R-trees. All three must derive identical fact
-   sets — the probes are pre-filters, the exact guard always re-checks.
+   planner compiles to index probes. Each database is evaluated two
+   ways: the scan baseline (spatial_indexing = false, every annotated
+   join through the hash/scan path) and the default STR-packed R-trees.
+   Both must derive identical fact sets — the probes are pre-filters,
+   the exact guard always re-checks.
    The databases are raw engine bases like the other engine-* series;
    the Spec only carries the region table and coordinate system the
    spatial hooks read. *)
@@ -1480,7 +1484,6 @@ type sp_workload = {
   sp_title : string;
   sp_db : int -> Gdp_logic.Database.t;
   sp_hints : Spec.t;  (* carries the regions the guards name *)
-  sp_cell : float;  (* uniform-grid cell size for the grid leg *)
   sp_console_sizes : int list;
   sp_json_sizes : int list;
   sp_json_small : int list;
@@ -1493,7 +1496,6 @@ let sp_workloads =
       sp_title = "engine-spatial roads — bounded pt_dist self-join over sites";
       sp_db = sp_roads_db;
       sp_hints = sp_spec ~regions:[];
-      sp_cell = 3.0;
       sp_console_sizes = [ 160; 320; 640 ];
       sp_json_sizes = [ 320; 640; 1280 ];
       sp_json_small = [ 160; 640 ];
@@ -1512,7 +1514,6 @@ let sp_workloads =
                   ~center:(Gdp_space.Point.make 50.0 50.0)
                   ~radius:20.0 );
             ];
-      sp_cell = 2.0;
       sp_console_sizes = [ 16; 24; 32 ];
       sp_json_sizes = [ 24; 32; 48 ];
       sp_json_small = [ 16; 32 ];
@@ -1530,7 +1531,6 @@ let sp_workloads =
                 Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
                   ~max_y:100.0 );
             ];
-      sp_cell = 4.0;
       sp_console_sizes = [ 200; 400; 800 ];
       sp_json_sizes = [ 400; 800; 1600 ];
       sp_json_small = [ 200; 800 ];
@@ -1541,33 +1541,33 @@ type sp_row = {
   xr_scale : int;
   xr_facts : int;
   xr_scan_ms : float;
-  xr_grid_ms : float;
   xr_rtree_ms : float;
   xr_probes : int;  (* of the R-tree run *)
-  xr_fallbacks : int;  (* spatial scans of the baseline run *)
+  xr_baseline_spatial_scans : int;  (* spatial scans of the baseline run *)
   xr_agree : bool;
 }
 
 let sp_measure w scale =
   let open Gdp_logic in
   let db = w.sp_db scale in
-  let rtree = Compile.spatial_hints w.sp_hints in
-  let grid = Compile.spatial_hints ~grid_cell:w.sp_cell w.sp_hints in
+  let spatial = Compile.spatial_hints w.sp_hints in
   let scan_ms, scan_fp =
-    time_ms (fun () -> Bottom_up.run ~spatial:rtree ~spatial_indexing:false db)
+    time_ms (fun () ->
+        Bottom_up.run
+          ~config:{ Bottom_up.Config.default with spatial_indexing = false }
+          ~spatial db)
   in
-  let grid_ms, grid_fp = time_ms (fun () -> Bottom_up.run ~spatial:grid db) in
-  let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial:rtree db) in
-  let same a b = List.equal Term.equal (Bottom_up.facts a) (Bottom_up.facts b) in
+  let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial db) in
   {
     xr_scale = scale;
     xr_facts = Bottom_up.count rtree_fp;
     xr_scan_ms = scan_ms;
-    xr_grid_ms = grid_ms;
     xr_rtree_ms = rtree_ms;
     xr_probes = (Bottom_up.stats rtree_fp).Bottom_up.bu_spatial_probes;
-    xr_fallbacks = (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans;
-    xr_agree = same scan_fp rtree_fp && same scan_fp grid_fp;
+    xr_baseline_spatial_scans =
+      (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans;
+    xr_agree =
+      List.equal Term.equal (Bottom_up.facts scan_fp) (Bottom_up.facts rtree_fp);
   }
 
 let sp_speedup r = r.xr_scan_ms /. Float.max 0.01 r.xr_rtree_ms
@@ -1576,14 +1576,14 @@ let engine_spatial () =
   List.iter
     (fun w ->
       section w.sp_title;
-      row "  %8s %8s %10s %10s %10s %8s %8s %9s  %s\n" "scale" "facts"
-        "scan_ms" "grid_ms" "rtree_ms" "speedup" "probes" "fallbacks" "agree";
+      row "  %8s %8s %10s %10s %8s %8s %11s  %s\n" "scale" "facts" "scan_ms"
+        "rtree_ms" "speedup" "probes" "base_scans" "agree";
       List.iter
         (fun scale ->
           let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %10.1f %7.1fx %8d %9d  %s\n" r.xr_scale
-            r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms (sp_speedup r)
-            r.xr_probes r.xr_fallbacks
+          row "  %8d %8d %10.1f %10.1f %7.1fx %8d %11d  %s\n" r.xr_scale
+            r.xr_facts r.xr_scan_ms r.xr_rtree_ms (sp_speedup r) r.xr_probes
+            r.xr_baseline_spatial_scans
             (if r.xr_agree then "yes" else "DISAGREE"))
         w.sp_console_sizes)
     sp_workloads
@@ -1735,8 +1735,8 @@ let engine_snap () =
 (* ------------------------------------------------- json: perf tracking *)
 
 (* `bench/main.exe -- json [small]` re-runs the engine-bu workloads as
-   scan-vs-indexed pairs (no naive column, so the scales can grow past
-   what quadratic re-firing tolerates) and writes BENCH_engine.json —
+   scan-vs-indexed pairs (no top-down column, so the scales can grow
+   past what SLDNF probing tolerates) and writes BENCH_engine.json —
    the machine-readable perf trajectory CI archives on every push. *)
 let bench_json ?(small = false) () =
   let out = "BENCH_engine.json" in
@@ -1936,30 +1936,30 @@ let bench_json ?(small = false) () =
       add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
     bu_workloads;
   add "  ],\n";
-  (* spatial-index joins: the scan baseline vs uniform-grid vs R-tree on
-     the same base; "agree" asserts all three derive identical models *)
+  (* spatial-index joins: the scan baseline vs R-tree on the same base;
+     "agree" asserts both derive identical models *)
   add "  \"spatial_series\": [\n";
   let n_sp = List.length sp_workloads in
   List.iteri
     (fun wi w ->
       let sizes = if small then w.sp_json_small else w.sp_json_sizes in
       section (Printf.sprintf "json %s" w.sp_title);
-      row "  %8s %8s %10s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms"
-        "grid_ms" "rtree_ms" "speedup" "agree";
+      row "  %8s %8s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms" "rtree_ms"
+        "speedup" "agree";
       add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.sp_name;
       let n_sizes = List.length sizes in
       List.iteri
         (fun si scale ->
           let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.xr_scale
-            r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms (sp_speedup r)
+          row "  %8d %8d %10.1f %10.1f %7.1fx  %s\n" r.xr_scale r.xr_facts
+            r.xr_scan_ms r.xr_rtree_ms (sp_speedup r)
             (if r.xr_agree then "yes" else "DISAGREE");
           add
             "        { \"scale\": %d, \"facts\": %d, \"scan_ms\": %.3f, \
-             \"grid_ms\": %.3f, \"rtree_ms\": %.3f, \"speedup\": %.2f, \
-             \"probes\": %d, \"fallbacks\": %d, \"agree\": %b }%s\n"
-            r.xr_scale r.xr_facts r.xr_scan_ms r.xr_grid_ms r.xr_rtree_ms
-            (sp_speedup r) r.xr_probes r.xr_fallbacks r.xr_agree
+             \"rtree_ms\": %.3f, \"speedup\": %.2f, \"probes\": %d, \
+             \"baseline_spatial_scans\": %d, \"agree\": %b }%s\n"
+            r.xr_scale r.xr_facts r.xr_scan_ms r.xr_rtree_ms (sp_speedup r)
+            r.xr_probes r.xr_baseline_spatial_scans r.xr_agree
             (if si < n_sizes - 1 then "," else ""))
         sizes;
       add "      ]\n    }%s\n" (if wi < n_sp - 1 then "," else ""))

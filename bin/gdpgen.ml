@@ -25,6 +25,17 @@ let write_spec spec out =
         (fun () -> output_string oc text);
       Printf.eprintf "wrote %s (%d bytes)\n" path (String.length text)
 
+(* Reject an out-of-range option before any generator runs, in the
+   "error: ..." format and with the exit code gdprs uses for bad input. *)
+let require ok option msg =
+  if not ok then begin
+    Printf.eprintf "error: %s: %s\n" option msg;
+    exit 2
+  end
+
+let probability option p =
+  require (p >= 0.0 && p <= 1.0) option "must be in [0, 1]"
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
@@ -42,6 +53,9 @@ let roads_cmd =
          & info [ "open-probability" ] ~docv:"P" ~doc:"Probability a bridge is open.")
   in
   let run seed out roads bridges open_probability =
+    require (roads >= 0) "--roads" "must be >= 0";
+    require (bridges >= 0) "--bridges" "must be >= 0";
+    probability "--open-probability" open_probability;
     let rng = Gdp_workload.Rng.create (Int64.of_int seed) in
     let net =
       Gdp_workload.Roads.generate rng ~n_roads:roads ~bridges_per_road:bridges
@@ -61,12 +75,15 @@ let roads_cmd =
 let terrain_cmd =
   let size =
     Arg.(value & opt int 3
-         & info [ "size" ] ~docv:"K" ~doc:"Grid exponent: a (2^K)² cell terrain.")
+         & info [ "size" ] ~docv:"K"
+             ~doc:"Grid exponent in [1, 12]: a (2^K)² cell terrain.")
   in
   let sea =
     Arg.(value & opt float 0.35 & info [ "sea-level" ] ~docv:"H" ~doc:"Lake threshold in [0, 1].")
   in
   let run seed out size_exp sea_level =
+    require (size_exp >= 1 && size_exp <= 12) "--size" "must be in [1, 12]";
+    probability "--sea-level" sea_level;
     let rng = Gdp_workload.Rng.create (Int64.of_int seed) in
     let terrain = Gdp_workload.Terrain.generate rng ~size_exp ~cell:1.0 () in
     let cells = float_of_int (terrain.Gdp_workload.Terrain.size - 1) in
@@ -103,6 +120,9 @@ let census_cmd =
              ~doc:"Probability of seeding a second capital per state.")
   in
   let run seed out n_states cities_per_state capital_bug_probability =
+    require (n_states >= 0) "--states" "must be >= 0";
+    require (cities_per_state >= 1) "--cities" "must be >= 1";
+    probability "--capital-bug" capital_bug_probability;
     let rng = Gdp_workload.Rng.create (Int64.of_int seed) in
     let census =
       Gdp_workload.Census.generate rng ~n_states ~cities_per_state
@@ -126,6 +146,8 @@ let clouds_cmd =
     Arg.(value & opt float 0.3 & info [ "cover" ] ~docv:"F" ~doc:"Target cloud fraction.")
   in
   let run seed out size cover =
+    require (size >= 1) "--size" "must be >= 1";
+    probability "--cover" cover;
     let rng = Gdp_workload.Rng.create (Int64.of_int seed) in
     let clouds = Gdp_workload.Clouds.generate rng ~size ~cover () in
     let spec = Spec.create () in

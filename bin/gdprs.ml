@@ -66,16 +66,6 @@ let with_engine q ~materialize ~magic =
   | false, true -> Query.with_mode q Query.Magic
   | false, false -> q
 
-let no_spatial_index_arg =
-  Arg.(value & flag
-       & info [ "no-spatial-index" ]
-           ~doc:"Disable spatial-index probes in bottom-up fixpoints: joins \
-                 guarded by $(b,region_mem) or a bounded $(b,pt_dist) take \
-                 the hash/scan baseline instead of R-tree range queries. The \
-                 derived model is identical; only the spatial counters in \
-                 $(b,--stats) move. Only meaningful with $(b,--materialize); \
-                 rejected with $(b,--magic).")
-
 let snapshot_arg =
   Arg.(value & opt (some string) None
        & info [ "snapshot" ] ~docv:"FILE.gdpx"
@@ -163,17 +153,13 @@ let enable_telemetry result =
 let set_jobs result jobs =
   result.Gdp_lang.Elaborate.spec.Spec.jobs <- jobs
 
-let set_spatial_indexing result ~no_spatial_index ~magic =
-  if no_spatial_index && magic then
-    invalid_arg "--no-spatial-index and --magic are mutually exclusive";
-  if no_spatial_index then
-    result.Gdp_lang.Elaborate.spec.Spec.spatial_indexing <- false
-
 let print_stats q = Format.printf "-- stats --@.%a@." Query.pp_stats q
 
 let handle_errors f =
   try f () with
-  | Gdp_lang.Elaborate.Error msg | Gdp_lang.Parser.Error msg ->
+  | Gdp_lang.Elaborate.Error msg
+  | Gdp_lang.Parser.Error msg
+  | Gdp_logic.Reader.Parse_error msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 2
   | Invalid_argument msg ->
@@ -194,12 +180,11 @@ let handle_errors f =
 
 let check_cmd =
   let run file view models metas materialize snapshot stats jobs
-      no_spatial_index explain_n trace_out =
+      explain_n trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q = with_materialize (build_query result view models metas) materialize in
         Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
@@ -230,7 +215,7 @@ let check_cmd =
   let doc = "Check a specification's consistency under a world view (§III-E)." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ materialize_arg
-          $ snapshot_arg $ stats_arg $ jobs_arg $ no_spatial_index_arg
+          $ snapshot_arg $ stats_arg $ jobs_arg
           $ explain_violations_arg $ trace_out_arg)
 
 (* ---- compile ---- *)
@@ -242,12 +227,11 @@ let compile_cmd =
              ~doc:"Where to write the snapshot. Conventionally \
                    $(i,SPEC).gdpx next to the specification.")
   in
-  let run file view models metas out stats jobs no_spatial_index trace_out =
+  let run file view models metas out stats jobs trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let q =
           Query.with_mode (build_query result view models metas)
             Query.Materialized
@@ -277,7 +261,7 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ out_arg
-          $ stats_arg $ jobs_arg $ no_spatial_index_arg $ trace_out_arg)
+          $ stats_arg $ jobs_arg $ trace_out_arg)
 
 (* ---- update ---- *)
 
@@ -326,12 +310,11 @@ let update_cmd =
                       lineno))
   in
   let run file view models metas script materialize snapshot stats jobs
-      no_spatial_index explain_n trace_out =
+      explain_n trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
           with_materialize (build_query result view models metas) materialize
@@ -396,7 +379,7 @@ let update_cmd =
   Cmd.v (Cmd.info "update" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ script_arg
           $ materialize_arg $ snapshot_arg $ stats_arg $ jobs_arg
-          $ no_spatial_index_arg $ explain_violations_arg $ trace_out_arg)
+          $ explain_violations_arg $ trace_out_arg)
 
 (* ---- query ---- *)
 
@@ -409,12 +392,11 @@ let query_cmd =
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc:"Maximum answers.")
   in
   let run file view models metas pattern limit materialize magic snapshot
-      stats jobs no_spatial_index =
+      stats jobs =
     handle_errors (fun () ->
         let result = load file in
         if stats then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
@@ -439,7 +421,7 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ limit_arg $ materialize_arg $ magic_arg $ snapshot_arg $ stats_arg
-          $ jobs_arg $ no_spatial_index_arg)
+          $ jobs_arg)
 
 (* ---- ask ---- *)
 
@@ -449,12 +431,11 @@ let ask_cmd =
          & info [] ~docv:"GOAL" ~doc:"Raw engine goal over the reified vocabulary (holds/6, acc/7, builtins).")
   in
   let run file view models metas goal magic snapshot stats jobs
-      no_spatial_index trace_out =
+      trace_out =
     handle_errors (fun () ->
         let result = load file in
         if stats || trace_out <> None then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         (* ask's only fixpoint-backed mode is magic, so --snapshot
            selects it; the loaded full model then answers the goal *)
         let magic = magic || snapshot <> None in
@@ -489,7 +470,7 @@ let ask_cmd =
   Cmd.v (Cmd.info "ask" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
           $ magic_arg $ snapshot_arg $ stats_arg $ jobs_arg
-          $ no_spatial_index_arg $ trace_out_arg)
+          $ trace_out_arg)
 
 (* ---- profile ---- *)
 
@@ -500,13 +481,11 @@ let profile_cmd =
              ~doc:"Raw engine goal over the reified vocabulary (holds/6, \
                    acc/7, builtins); every answer is drained.")
   in
-  let run file view models metas goal materialize snapshot trace_out jobs
-      no_spatial_index =
+  let run file view models metas goal materialize snapshot trace_out jobs =
     handle_errors (fun () ->
         let result = load file in
         enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic:false;
         let materialize = materialize || snapshot <> None in
         let q =
           with_materialize (build_query result view models metas) materialize
@@ -537,7 +516,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ goal_arg
           $ materialize_arg $ snapshot_arg $ trace_out_arg $ jobs_arg
-          $ no_spatial_index_arg)
+         )
 
 (* ---- render ---- *)
 
@@ -634,14 +613,13 @@ let explain_cmd =
                    edges).")
   in
   let run file view models metas pattern dot json materialize magic snapshot
-      stats jobs no_spatial_index =
+      stats jobs =
     handle_errors (fun () ->
         if dot && json then
           invalid_arg "--dot and --json are mutually exclusive";
         let result = load file in
         if stats then enable_telemetry result;
         set_jobs result jobs;
-        set_spatial_indexing result ~no_spatial_index ~magic;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
@@ -681,7 +659,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(const run $ file_arg $ view_arg $ models_arg $ metas_arg $ pattern_arg
           $ dot_arg $ json_arg $ materialize_arg $ magic_arg $ snapshot_arg
-          $ stats_arg $ jobs_arg $ no_spatial_index_arg)
+          $ stats_arg $ jobs_arg)
 
 (* ---- info ---- *)
 

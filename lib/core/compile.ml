@@ -314,7 +314,7 @@ let spatial_solve spec goal =
       | _ -> [])
   | _ -> []
 
-let spatial_hints ?grid_cell spec : Bottom_up.spatial =
+let spatial_hints spec : Bottom_up.spatial =
   {
     Bottom_up.sp_ext = spatial_ext;
     sp_solve = spatial_solve spec;
@@ -337,7 +337,6 @@ let spatial_hints ?grid_cell spec : Bottom_up.spatial =
       (match spec.Spec.coord with
       | Gdp_space.Coord.Cartesian | Gdp_space.Coord.Utm _ -> true
       | Gdp_space.Coord.Polar | Gdp_space.Coord.Geographic -> false);
-    sp_grid_cell = grid_cell;
   }
 
 let magic_rewrite ?tracer ~goal db =
@@ -345,16 +344,13 @@ let magic_rewrite ?tracer ~goal db =
 
 (* The snapshot key: the compiled clause sequence (exact order — rule
    ids anchor recorded witnesses) plus everything outside the clause
-   store that changes what a materialised fixpoint derives: views, the
-   coordinate system, region geometries, logical space/time resolutions,
-   the fuzzy algebra, and the engine configuration knobs ([jobs] is
-   deliberately excluded: parallelism never changes the model, so one
-   snapshot serves every [--jobs] setting). The configuration part reads
-   the specification's {e current} flags, so flipping
-   [Spec.spatial_indexing] or [Spec.provenance] after compilation
-   changes the key — a [--no-spatial-index] run never silently reuses an
-   indexed snapshot. *)
-let content_hash (c : t) =
+   store that changes what a materialised fixpoint derives or stores:
+   views, the coordinate system, region geometries, logical space/time
+   resolutions, the fuzzy algebra, and the one engine configuration
+   field that changes the stored state, [lineage]. The other fields
+   ([jobs], the indexing switches) never change the model, so one
+   snapshot serves them all. *)
+let content_hash (c : t) ~(config : Bottom_up.Config.t) =
   let spec = c.spec in
   let buf = Buffer.create 512 in
   Buffer.add_string buf c.clause_digest;
@@ -388,7 +384,5 @@ let content_hash (c : t) =
     spec.Spec.tspaces;
   Buffer.add_string buf
     (Printf.sprintf "|fuzzy:%d" (Hashtbl.hash spec.Spec.fuzzy_family));
-  Buffer.add_string buf
-    (Printf.sprintf "|spatial_indexing:%b|provenance:%b"
-       spec.Spec.spatial_indexing spec.Spec.provenance);
+  Buffer.add_string buf (Printf.sprintf "|lineage:%b" config.lineage);
   Digest.to_hex (Digest.string (Buffer.contents buf))

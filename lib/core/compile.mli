@@ -55,8 +55,7 @@ val datalog_refine : Gdp_logic.Bottom_up.refine
     by predicate. Pass to [Bottom_up.classify] / [Bottom_up.run] whenever
     the database came from {!compile}. *)
 
-val spatial_hints :
-  ?grid_cell:float -> Spec.t -> Gdp_logic.Bottom_up.spatial
+val spatial_hints : Spec.t -> Gdp_logic.Bottom_up.spatial
 (** Spatial evaluation hooks for the bottom-up engine, specialised to
     [spec]: whitelists [pt_dist/3], [region_mem/2], [region_reps/3] and
     [res_subcells/4] as native body literals (solved with exactly the
@@ -64,23 +63,22 @@ val spatial_hints :
     point reader (bare [pos/2-3] or one [at(...)] constructor deep) the
     index probes need, and declares ±eps boxes sound only for
     planar coordinate systems ([Cartesian]/[Utm] — geographic haversine
-    balls are not Chebyshev-bounded). [grid_cell] (default absent)
-    selects uniform-grid indexes of that cell size instead of STR-packed
-    R-trees. Pass to {!Gdp_logic.Bottom_up.run} as [~spatial] whenever
-    the database came from {!compile}. *)
+    balls are not Chebyshev-bounded). Pass to {!Gdp_logic.Bottom_up.run}
+    as [~spatial] whenever the database came from {!compile}. *)
 
-val content_hash : t -> string
-(** The snapshot key of this compilation: a digest over the exact
-    compiled clause sequence (rule order included — witness rule ids
-    depend on it), both views, the coordinate system, region
-    geometries, logical space and time resolutions, the fuzzy algebra
-    family, and the [Spec.spatial_indexing] / [Spec.provenance] flags
-    as they stand {e now}. Deliberately independent of [Spec.jobs]
-    (parallelism never changes the derived model) and of the
-    specification's update log (updates persist inside the snapshot and
-    are replayed on load — see [Query.of_snapshot]). Two processes
-    compiling the same specification under the same views and flags
-    compute the same hash; any divergence marks a snapshot {e stale}. *)
+val content_hash : t -> config:Gdp_logic.Bottom_up.Config.t -> string
+(** The snapshot key of this compilation under the engine [config]: a
+    digest over the exact compiled clause sequence (rule order included
+    — witness rule ids depend on it), both views, the coordinate system,
+    region geometries, logical space and time resolutions, the fuzzy
+    algebra family, and [config.lineage] — the only configuration field
+    that changes the stored state. Deliberately independent of
+    [config.jobs] and the indexing switches (they never change the
+    derived model) and of the specification's update log (updates
+    persist inside the snapshot and are replayed on load — see
+    [Query.of_snapshot]). Two processes compiling the same specification
+    under the same views and lineage setting compute the same hash; any
+    divergence marks a snapshot {e stale}. *)
 
 val magic_rewrite :
   ?tracer:Gdp_obs.Tracer.t ->

@@ -8,9 +8,9 @@ type t = {
   tracer : Gdp_obs.Tracer.t;
   solve_stats : Solve.stats option;
   mode : engine_mode;
-  jobs : int;
-      (** parallelism of every bottom-up fixpoint this query materialises
-          (1 = sequential; top-down resolution ignores it) *)
+  config : Bottom_up.Config.t;
+      (** the configuration of every bottom-up fixpoint this query
+          materialises or imports, derived once by {!engine_config} *)
   fp : Bottom_up.fixpoint option ref;
       (** lazily computed; the ref (not just its content) is shared by the
           [with_mode] copies of this query, so materialising — or
@@ -35,11 +35,18 @@ let tracer_for ?tracer (spec : Spec.t) =
       if spec.Spec.telemetry then Gdp_obs.Tracer.create ()
       else Gdp_obs.Tracer.disabled
 
+(* The one place a query's bottom-up engine is configured: parallelism
+   and lineage come from the specification, the indexing switches stay
+   at their defaults. *)
+let engine_config (spec : Spec.t) =
+  {
+    Bottom_up.Config.default with
+    jobs = spec.Spec.jobs;
+    lineage = spec.Spec.provenance;
+  }
+
 let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
-    ?jobs (compiled : Compile.t) =
-  let jobs =
-    match jobs with Some j -> j | None -> compiled.Compile.spec.Spec.jobs
-  in
+    (compiled : Compile.t) =
   let mode =
     match mode with
     | Some m -> m
@@ -67,15 +74,15 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
     tracer;
     solve_stats;
     mode;
-    jobs;
+    config = engine_config compiled.Compile.spec;
     fp = ref None;
     magic = ref None;
     snap = ref None;
   }
 
-let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer ?jobs spec =
+let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer spec =
   let tracer = tracer_for ?tracer spec in
-  of_compiled ?max_depth ?on_depth ?mode ~tracer ?jobs
+  of_compiled ?max_depth ?on_depth ?mode ~tracer
     (Compile.compile ?world_view ?meta_view ~tracer spec)
 
 let spec q = q.compiled.Compile.spec
@@ -90,17 +97,18 @@ let materializable q =
     ~spatial:(Compile.spatial_hints (spec q))
     (db q)
 
+let run_fixpoint ?seed q database =
+  Bottom_up.run ~config:q.config ~refine:Compile.datalog_refine
+    ~spatial:(Compile.spatial_hints (spec q))
+    ~tracer:q.tracer ?seed database
+
 let materialization q =
   match !(q.fp) with
   | Some fp -> fp
   | None ->
       let fp =
         Gdp_obs.Tracer.with_span q.tracer ~cat:"query" "materialize"
-          (fun () ->
-            Bottom_up.run ~refine:Compile.datalog_refine
-              ~spatial:(Compile.spatial_hints (spec q))
-              ~spatial_indexing:(spec q).Spec.spatial_indexing ~tracer:q.tracer
-              ~jobs:q.jobs ~lineage:(spec q).Spec.provenance (db q))
+          (fun () -> run_fixpoint q (db q))
       in
       q.fp := Some fp;
       fp
@@ -117,14 +125,7 @@ let magic_materialization q goal =
       let result =
         Gdp_obs.Tracer.with_span q.tracer ~cat:"query" "magic" (fun () ->
             let rewritten, info = Compile.magic_rewrite ~tracer:q.tracer ~goal (db q) in
-            let fp =
-              Bottom_up.run ~refine:Compile.datalog_refine
-                ~spatial:(Compile.spatial_hints (spec q))
-                ~spatial_indexing:(spec q).Spec.spatial_indexing
-                ~tracer:q.tracer ~jobs:q.jobs
-                ~lineage:(spec q).Spec.provenance ~seed:info.Magic.seeds
-                rewritten
-            in
+            let fp = run_fixpoint ~seed:info.Magic.seeds q rewritten in
             (fp, info))
       in
       q.magic := Some (goal, fst result, snd result);
@@ -151,7 +152,11 @@ let save_snapshot q path =
   let meta = Marshal.to_string (Spec.update_log (spec q) : Spec.update list) [] in
   let bytes =
     Snapshot.save ~tracer:q.tracer ~path
-      { Snapshot.key = Compile.content_hash q.compiled; meta; state }
+      {
+        Snapshot.key = Compile.content_hash ~config:q.config q.compiled;
+        meta;
+        state;
+      }
   in
   (bytes, Bottom_up.snapshot_facts state)
 
@@ -198,7 +203,7 @@ let of_snapshot q path =
   match Snapshot.load ~tracer:q.tracer ~path () with
   | exception Snapshot.Corrupt msg -> Error (Snapshot_corrupt msg)
   | snap, bytes -> (
-      let want = Compile.content_hash q.compiled in
+      let want = Compile.content_hash ~config:q.config q.compiled in
       if not (String.equal snap.Snapshot.key want) then
         Error
           (Snapshot_stale
@@ -215,12 +220,10 @@ let of_snapshot q path =
             | Error e -> Error e
             | Ok () -> (
                 match
-                  Bottom_up.import ~refine:Compile.datalog_refine
+                  Bottom_up.import ~config:q.config
+                    ~refine:Compile.datalog_refine
                     ~spatial:(Compile.spatial_hints (spec q))
-                    ~spatial_indexing:(spec q).Spec.spatial_indexing
-                    ~tracer:q.tracer ~jobs:q.jobs
-                    ~lineage:(spec q).Spec.provenance (db q)
-                    snap.Snapshot.state
+                    ~tracer:q.tracer (db q) snap.Snapshot.state
                 with
                 | fp ->
                     let facts = Bottom_up.snapshot_facts snap.Snapshot.state in

@@ -36,7 +36,6 @@ val create :
   ?on_depth:[ `Fail | `Raise ] ->
   ?mode:engine_mode ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   Spec.t ->
   t
 (** Compile and wrap. The engine's ancestor loop check is enabled
@@ -49,10 +48,12 @@ val create :
     [spec.Spec.telemetry] is set and the disabled tracer otherwise. An
     enabled tracer also switches on {!Gdp_logic.Solve.stats} collection
     (see {!solve_stats}) and spans around compilation, each query
-    operation and the engines' internals. [jobs] (default
-    [spec.Spec.jobs], itself 1) sets the parallelism of every bottom-up
-    fixpoint the query materialises — {!Materialized} and {!Magic} modes;
-    [0] autodetects the core count. Top-down resolution is single-domain
+    operation and the engines' internals. Every bottom-up fixpoint the
+    query materialises or imports ({!Materialized} and {!Magic} modes)
+    runs under one {!Gdp_logic.Bottom_up.Config.t}, derived here once
+    from the specification: [jobs] from [spec.Spec.jobs] ([0]
+    autodetects the core count) and [lineage] from
+    [spec.Spec.provenance]. Top-down resolution is single-domain
     regardless. *)
 
 val of_compiled :
@@ -60,7 +61,6 @@ val of_compiled :
   ?on_depth:[ `Fail | `Raise ] ->
   ?mode:engine_mode ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
   Compile.t ->
   t
 (** Wrap an existing compilation — {!create} without the compile step;

@@ -47,9 +47,6 @@ type t = {
   mutable prefer_magic : bool;
   mutable telemetry : bool;
   mutable jobs : int; (* bottom-up evaluation parallelism; 0 = autodetect *)
-  mutable spatial_indexing : bool;
-      (* compile spatially guarded joins to index probes in materialised
-         fixpoints; off = the scan baseline, same model *)
   mutable provenance : bool;
       (* record why-provenance in materialised fixpoints (lineage) *)
   mutable updates : update list; (* newest first; update_log reverses *)
@@ -78,7 +75,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       prefer_magic = false;
       telemetry = false;
       jobs = 1;
-      spatial_indexing = true;
       provenance = true;
       updates = [];
       snapshot_path = None;

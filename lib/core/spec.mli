@@ -95,15 +95,6 @@ type t = {
           domains ([1] = sequential, [0] = autodetect the core count) —
           the setting behind [gdprs --jobs]. Top-down resolution is
           unaffected. *)
-  mutable spatial_indexing : bool;
-      (** when true (the default), every fixpoint {!Query} materialises
-          compiles joins guarded by [region_mem] or a bounded [pt_dist]
-          into spatial-index probes ({!Gdp_logic.Bottom_up.run}'s
-          [~spatial_indexing]); when false the same joins take the
-          hash/scan baseline — identical model and stats apart from the
-          [bu_spatial_*] counters. The setting behind
-          [gdprs --no-spatial-index]. Top-down resolution is
-          unaffected. *)
   mutable provenance : bool;
       (** when true (the default), every fixpoint {!Query} materialises
           records why-provenance ({!Gdp_logic.Bottom_up.run}'s

@@ -115,7 +115,7 @@ module Relation = struct
   (* Lazily built under the same double-checked discipline as [index]:
      the facts are frozen during a parallel pass, so concurrent readers
      racing on a missing spatial index build it exactly once. *)
-  let spatial_index r ~kind ~point apos =
+  let spatial_index r ~point apos =
     match List.assoc_opt apos (Atomic.get r.spatials) with
     | Some sp -> sp
     | None ->
@@ -135,7 +135,7 @@ module Relation = struct
                     | None -> rest := fact :: !rest)
                   r;
                 let sp =
-                  { s_point = point; s_idx = Sx.bulk kind !entries; s_rest = !rest }
+                  { s_point = point; s_idx = Sx.bulk !entries; s_rest = !rest }
                 in
                 Atomic.set r.spatials ((apos, sp) :: Atomic.get r.spatials);
                 sp)
@@ -144,8 +144,8 @@ module Relation = struct
      the side list of facts without an extractable point — a superset of
      the facts that can satisfy the spatial guard the planner proved the
      box covers. *)
-  let spatial_probe r ~kind ~point apos qbox =
-    let sp = spatial_index r ~kind ~point apos in
+  let spatial_probe r ~point apos qbox =
+    let sp = spatial_index r ~point apos in
     (Sx.range sp.s_idx qbox, sp.s_rest)
 
   let add r t =
@@ -249,7 +249,6 @@ module Iset = Set.Make (Int)
 
 exception Unsupported of string
 
-type strategy = Naive | Semi_naive
 type refine = string * int -> int option
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
@@ -283,9 +282,8 @@ module Rel_map = Map.Make (Rel)
    ground-input instance and returns its ground solutions; the remaining
    fields let the planner compile spatially guarded joins into index
    probes: region bounding boxes by name, point extraction from pos/2-3
-   shaped arguments, whether the space's metric is covered by ±eps boxes
-   (cartesian-like coordinates only), and the preferred index structure
-   ([Some cell] for a uniform grid, [None] for the R-tree). *)
+   shaped arguments, and whether the space's metric is covered by ±eps
+   boxes (cartesian-like coordinates only). *)
 type sprobe =
   | Sp_within of Sx.box  (** bound region guard: probe its bounding box *)
   | Sp_near of Term.t * float  (** pt_dist anchor term and distance bound *)
@@ -296,8 +294,26 @@ type spatial = {
   sp_region_box : string -> Sx.box option;
   sp_point : Term.t -> (float * float) option;
   sp_boxable : bool;
-  sp_grid_cell : float option;
 }
+
+module Config = struct
+  type t = {
+    jobs : int;
+    lineage : bool;
+    indexing : bool;
+    spatial_indexing : bool;
+  }
+
+  let default =
+    { jobs = 1; lineage = false; indexing = true; spatial_indexing = true }
+end
+
+(* Fixed evaluation bounds (exceeding either raises [Failure]; only
+   unsafe function-symbol recursion can) and the library predicates every
+   classification treats as invisible. *)
+let max_iterations = 10_000
+let max_facts = 1_000_000
+let library = Prelude.predicates
 
 (* Body literals in textual order. Positive literals carry their join
    position so the semi-naive driver can aim the delta at one of them. *)
@@ -377,7 +393,7 @@ let ext_input_vars inputs atom =
 (* classification: one pass deciding membership in the fragment, shared
    by [supported], [run] and the stratification error messages          *)
 
-let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
+let parse_body_goal db ~refine ~spatial ~ctx ~next_pos g =
   match g with
   | Term.Var _ -> unsupported "%s: unbound variable used as a body goal" ctx
   | Term.Int _ | Term.Float _ | Term.Str _ ->
@@ -406,7 +422,7 @@ let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
             then
               unsupported "%s: negation of non-atomic goal %s" ctx
                 (Term.to_string inner)
-            else if List.mem (iname, iarity) ignore then
+            else if List.mem (iname, iarity) library then
               unsupported "%s: library predicate %s/%d outside the Datalog \
                            fragment" ctx iname iarity
             else if Database.find_builtin db (iname, iarity) <> None then
@@ -426,7 +442,7 @@ let parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos g =
         match g with
         | Term.App (_, [ a; b ]) -> Some (Eq (String.equal name "==", a, b))
         | _ -> assert false
-      else if List.mem (name, arity) ignore then
+      else if List.mem (name, arity) library then
         unsupported "%s: library predicate %s/%d outside the Datalog fragment"
           ctx name arity
       else
@@ -482,13 +498,13 @@ let check_safety ~ctx head body =
   if not (Iset.subset (vset head) bound) then
     unsupported "%s: head variable not bound by the body" ctx
 
-let parse_clause db ~ignore ~refine ~spatial (c : Database.clause) =
+let parse_clause db ~refine ~spatial (c : Database.clause) =
   match Term.functor_of c.Database.head with
   | None ->
       unsupported "clause head %s is not a predicate atom"
         (Term.to_string c.Database.head)
   | Some fa ->
-      if List.mem fa ignore then None (* library clause: invisible *)
+      if List.mem fa library then None (* library clause: invisible *)
       else begin
         let head_rel = rel_of ~refine ~what:"clause head" c.Database.head in
         if c.Database.body = [] then begin
@@ -502,7 +518,7 @@ let parse_clause db ~ignore ~refine ~spatial (c : Database.clause) =
           let next_pos = ref 0 in
           let body =
             List.filter_map
-              (parse_body_goal db ~ignore ~refine ~spatial ~ctx ~next_pos)
+              (parse_body_goal db ~refine ~spatial ~ctx ~next_pos)
               c.Database.body
           in
           check_safety ~ctx c.Database.head body;
@@ -638,11 +654,11 @@ let compute_strata rules fact_rels =
 let all_clauses db =
   List.concat_map (fun fa -> Database.all_clauses db fa) (Database.predicates db)
 
-let prepare db ~ignore ~refine ~spatial =
+let prepare db ~refine ~spatial =
   let facts = ref [] and rules = ref [] in
   List.iter
     (fun c ->
-      match parse_clause db ~ignore ~refine ~spatial c with
+      match parse_clause db ~refine ~spatial c with
       | None -> ()
       | Some (`Fact (rel, t)) -> facts := (rel, t) :: !facts
       | Some (`Rule r) -> rules := r :: !rules)
@@ -652,14 +668,13 @@ let prepare db ~ignore ~refine ~spatial =
   let stratum_of, n_strata = compute_strata rules (List.map fst facts) in
   (facts, rules, stratum_of, n_strata)
 
-let classify ?(ignore = Prelude.predicates) ?(refine = fun _ -> None) ?spatial db
-    =
-  match prepare db ~ignore ~refine ~spatial with
+let classify ?(refine = fun _ -> None) ?spatial db =
+  match prepare db ~refine ~spatial with
   | _ -> Ok ()
   | exception Unsupported reason -> Error reason
 
-let supported ?ignore ?refine ?spatial db =
-  match classify ?ignore ?refine ?spatial db with Ok () -> true | Error _ -> false
+let supported ?refine ?spatial db =
+  match classify ?refine ?spatial db with Ok () -> true | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* join planning: a greedy sideways-information-passing order            *)
@@ -1004,25 +1019,19 @@ type planned = {
 (* The maintained state: everything [run] needed transiently is kept so
    {!apply} can continue evaluating — the per-stratum rule plans, the
    stratum map, the set of asserted (extensional) facts distinguished
-   from derived ones, and the evaluation options the fixpoint was built
-   under (updates must propagate with the same strategy/indexing or the
-   differential guarantees vanish). *)
+   from derived ones, and the configuration the fixpoint was built under
+   (updates must propagate with the same indexing or the differential
+   guarantees vanish). *)
 type fixpoint = {
   rels : (Rel.t, Relation.t) Hashtbl.t;
   refine : refine;
-  ignore_preds : (string * int) list;
   base : Rel.t Term_tbl.t;  (* asserted ground facts -> their relation *)
   by_stratum : planned list array;
   stratum_of : Rel.t -> int;  (* total: unknown relations map to 0 *)
   n_strata : int;
-  strategy : strategy;
-  indexing : bool;
+  config : Config.t;  (* [jobs] resolved; 1 = the sequential path *)
   spatial : spatial option;  (* compiler-supplied spatial builtin hooks *)
-  spatial_indexing : bool;  (* compile guarded joins to index probes *)
-  max_iterations : int;
-  max_facts : int;
   tracer : Gdp_obs.Tracer.t;
-  mutable jobs : int;  (* parallelism; 1 = the untouched sequential path *)
   ctr : counters;
   mutable strata_stats : stratum_stats list;
   incr : istate;
@@ -1057,7 +1066,7 @@ let add fp rel t =
   let t = h in
   if Relation.add (get fp rel) t then begin
     fp.ctr.c_facts <- fp.ctr.c_facts + 1;
-    if fp.ctr.c_facts > fp.max_facts then
+    if fp.ctr.c_facts > max_facts then
       failwith "Bottom_up.run: fact bound hit";
     Some t
   end
@@ -1129,7 +1138,7 @@ let prov_footprint ps =
    per operation, not cumulative over the fixpoint's life. *)
 let tick fp ~budget_from =
   fp.ctr.c_passes <- fp.ctr.c_passes + 1;
-  if fp.ctr.c_passes - budget_from > fp.max_iterations then
+  if fp.ctr.c_passes - budget_from > max_iterations then
     failwith "Bottom_up.run: iteration bound hit"
 
 (* evaluate one rule body along its plan; [delta_at] aims one positive
@@ -1167,7 +1176,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
   (* hash access path for a partially ground atom: probe the index over
      its ground argument positions, scan when nothing is bound *)
   let hash_candidates r g =
-    if not fp.indexing then `Scan
+    if not fp.config.indexing then `Scan
     else
       match g with
       | Term.App (_, args) -> (
@@ -1182,6 +1191,30 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
           | positions -> `Probe (Relation.probe r positions args))
       | _ -> `Scan
   in
+  (* an annotated join's R-tree probe: the indexed argument and the
+     query box covering everything the downstream spatial guard can
+     accept. [None] — a plain literal, the scan reference, or an anchor
+     without a readable point — takes the hash path instead. *)
+  let rtree_query subst = function
+    | SPos (_, _, _, apos, probe) -> (
+        let qbox =
+          if not fp.config.spatial_indexing then None
+          else
+            match probe with
+            | Sp_within b -> Some b
+            | Sp_near (anchor, eps) -> (
+                let sp = Option.get fp.spatial in
+                match sp.sp_point (Subst.apply subst anchor) with
+                | Some (x, y) -> Some (Sx.pad (Sx.point_box x y) eps)
+                | None -> None)
+        in
+        match qbox with
+        | Some b -> Some (apos, b)
+        | None ->
+            ctr.c_sscans <- ctr.c_sscans + 1;
+            None)
+    | _ -> None
+  in
   let rec go subst lits =
     match lits with
     | [] -> (
@@ -1192,7 +1225,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
             match emit rule.head_rel head with
             | Some stored -> if capture then record_witness fp rule stored subst
             | None -> ()))
-    | Pos (i, rel, atom) :: rest -> (
+    | ((Pos (i, rel, atom) | SPos (i, rel, atom, _, _)) as lit) :: rest -> (
         let each fact =
           match Unify.unify subst atom fact with
           | Some s -> go s rest
@@ -1216,69 +1249,16 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
                 go subst rest
             end
             else begin
-              (match hash_candidates r g with
-              | `Scan ->
-                  ctr.c_scans <- ctr.c_scans + 1;
-                  Relation.iter each r
-              | `Probe l ->
-                  ctr.c_probes <- ctr.c_probes + 1;
-                  List.iter each l);
-              if gfacts <> [] then List.iter each gfacts
-            end)
-    | SPos (i, rel, atom, apos, probe) :: rest -> (
-        let each fact =
-          match Unify.unify subst atom fact with
-          | Some s -> go s rest
-          | None -> ()
-        in
-        match delta_at with
-        | Some j when j = i -> (
-            let g = Subst.apply subst atom in
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if List.exists (Term.equal g) delta then go subst rest
-            end
-            else List.iter each delta)
-        | _ ->
-            let r = get fp rel in
-            let gfacts = ghost_facts rel in
-            let g = Subst.apply subst atom in
-            if Term.is_ground g then begin
-              ctr.c_members <- ctr.c_members + 1;
-              if Relation.mem r g || List.exists (Term.equal g) gfacts then
-                go subst rest
-            end
-            else begin
-              let sp =
-                match fp.spatial with Some sp -> sp | None -> assert false
-              in
-              (* the query box covering everything the downstream spatial
-                 guard can accept; [None] falls back to the hash path *)
-              let qbox =
-                if not fp.spatial_indexing then None
-                else
-                  match probe with
-                  | Sp_within b -> Some b
-                  | Sp_near (anchor, eps) -> (
-                      match sp.sp_point (Subst.apply subst anchor) with
-                      | Some (x, y) -> Some (Sx.pad (Sx.point_box x y) eps)
-                      | None -> None)
-              in
-              (match qbox with
-              | Some qbox ->
+              (match rtree_query subst lit with
+              | Some (apos, qbox) ->
                   ctr.c_sprobes <- ctr.c_sprobes + 1;
-                  let kind =
-                    match sp.sp_grid_cell with
-                    | Some c -> Sx.Grid c
-                    | None -> Sx.Rtree
-                  in
+                  let sp = Option.get fp.spatial in
                   let hits, unindexed =
-                    Relation.spatial_probe r ~kind ~point:sp.sp_point apos qbox
+                    Relation.spatial_probe r ~point:sp.sp_point apos qbox
                   in
                   List.iter each hits;
                   List.iter each unindexed
               | None -> (
-                  ctr.c_sscans <- ctr.c_sscans + 1;
                   match hash_candidates r g with
                   | `Scan ->
                       ctr.c_scans <- ctr.c_scans + 1;
@@ -1489,7 +1469,7 @@ let parallel_pass fp srules ~deltas ~emit =
                       | Some (_ :: _ as d) ->
                           let parts =
                             partition_delta ~key_pos:p.delta_keys.(i)
-                              ~parts:fp.jobs d
+                              ~parts:fp.config.jobs d
                           in
                           Array.to_list parts
                           |> List.filter_map (fun slice ->
@@ -1500,7 +1480,7 @@ let parallel_pass fp srules ~deltas ~emit =
           srules
   in
   if units <> [] then begin
-    let pool = Pool.shared ~jobs:fp.jobs in
+    let pool = Pool.shared ~jobs:fp.config.jobs in
     Pool.run_all pool
       (Array.of_list (List.map (fun u () -> exec_unit fp u) units));
     List.iter (fun u -> fold_counters ~into:fp.ctr u.wu_ctr) units;
@@ -1557,7 +1537,7 @@ let saturate fp ~budget_from ~guard srules start =
         added := record rel t !added;
         Some t
   in
-  let parallel = fp.jobs > 1 in
+  let parallel = fp.config.jobs > 1 in
   let capture = fp.lineage <> None in
   let full_pass () =
     if parallel then parallel_pass fp srules ~deltas:None ~emit
@@ -1590,41 +1570,40 @@ let saturate fp ~budget_from ~guard srules start =
       ~args:[ ("delta", Gdp_obs.Tracer.Int dsize) ]
       "pass"
       (fun () ->
-        match fp.strategy with
-        | Naive -> full_pass ()
-        | Semi_naive ->
-            if parallel then parallel_pass fp srules ~deltas:(Some !deltas) ~emit
-            else
-              List.iter
-                (fun p ->
-                  Array.iteri
-                    (fun i rel ->
-                      match Rel_map.find_opt rel !deltas with
-                      | Some (_ :: _ as d) ->
-                          eval_rule fp ~capture ~delta_at:(Some i) ~delta:d
-                            p.rule p.delta_plans.(i) ~emit
-                      | _ -> ())
-                    p.rule.pos_rels)
-                srules);
+        if parallel then parallel_pass fp srules ~deltas:(Some !deltas) ~emit
+        else
+          List.iter
+            (fun p ->
+              Array.iteri
+                (fun i rel ->
+                  match Rel_map.find_opt rel !deltas with
+                  | Some (_ :: _ as d) ->
+                      eval_rule fp ~capture ~delta_at:(Some i) ~delta:d p.rule
+                        p.delta_plans.(i) ~emit
+                  | _ -> ())
+                p.rule.pos_rels)
+            srules);
     deltas := !new_facts
   done;
   (!added, !max_delta)
 
-(* The option-independent skeleton [run] and [import] share: classify
-   and stratify the database, precompute every rule's join plans, build
-   the (still empty) fixpoint record and pre-create every relation the
-   plans can touch. Returns the parsed base facts un-inserted — [run]
-   nets its seeds into them and saturates; [import] ignores them and
-   bulk-loads a snapshot instead. *)
-let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-    ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db =
-  let facts, rules, stratum_of, n_strata = prepare db ~ignore ~refine ~spatial in
+(* The skeleton [run] and [import] share: classify and stratify the
+   database (one ["bu.prepare"] span), precompute every rule's join
+   plans, build the (still empty) fixpoint record and pre-create every
+   relation the plans can touch. Returns the parsed base facts
+   un-inserted — [run] nets its seeds into them and saturates; [import]
+   ignores them and bulk-loads a snapshot instead. *)
+let build_fixpoint ~(config : Config.t) ~spatial ~refine ~tracer db =
+  let facts, rules, stratum_of, n_strata =
+    Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "bu.prepare" (fun () ->
+        prepare db ~refine ~spatial)
+  in
   (* body plans: with indexing on, a greedy bound-count order per rule
-     plus one per delta position; the scan baseline keeps textual order.
+     plus one per delta position; the scan reference keeps textual order.
      With spatial hooks present, every plan gets the spatial annotation
      pass — whether an annotated join actually probes is decided at
-     evaluation time by the [spatial_indexing] knob, so the scan
-     baseline counts the joins it declined to accelerate. *)
+     evaluation time by [config.spatial_indexing], so the scan reference
+     counts the joins it declined to accelerate. *)
   let annotate plan =
     match spatial with Some sp -> annotate_spatial sp plan | None -> plan
   in
@@ -1634,7 +1613,7 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
         let delta_keys =
           Array.init (Array.length r.pos_rels) (delta_key_pos r)
         in
-        if indexing then
+        if config.indexing then
           {
             rule = r;
             plan = annotate (order_body ~delta_at:None r.body);
@@ -1664,20 +1643,14 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
     {
       rels = Hashtbl.create 64;
       refine;
-      ignore_preds = ignore;
       base = Term_tbl.create 64;
       by_stratum;
       stratum_of =
         (fun rel -> match stratum_of rel with s -> s | exception Not_found -> 0);
       n_strata;
-      strategy;
-      indexing;
+      config = { config with jobs = Pool.resolve_jobs config.jobs };
       spatial;
-      spatial_indexing;
-      max_iterations;
-      max_facts;
       tracer;
-      jobs;
       ctr = new_counters ();
       strata_stats = [];
       incr =
@@ -1694,7 +1667,7 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
           i_recomputed = 0;
         };
       lineage =
-        (if lineage then
+        (if config.lineage then
            Some
              {
                ptbl = Term_tbl.create 256;
@@ -1725,10 +1698,7 @@ let build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
    [Relation.add], which runs in the single-threaded merge). *)
 let prebuild_spatial fp =
   match fp.spatial with
-  | Some sp when fp.spatial_indexing ->
-      let kind =
-        match sp.sp_grid_cell with Some c -> Sx.Grid c | None -> Sx.Rtree
-      in
+  | Some sp when fp.config.spatial_indexing ->
       let built = Hashtbl.create 8 in
       let build_for = function
         | SPos (_, rel, _, apos, _) ->
@@ -1745,7 +1715,7 @@ let prebuild_spatial fp =
                 "bu.spatial.build"
                 (fun () ->
                   Stdlib.ignore
-                    (Relation.spatial_index r ~kind ~point:sp.sp_point apos))
+                    (Relation.spatial_index r ~point:sp.sp_point apos))
             end
         | _ -> ()
       in
@@ -1773,8 +1743,8 @@ let emit_gauges fp =
     end;
     set "bu.hcons_hits" fp.ctr.c_hits;
     set "bu.hcons_misses" fp.ctr.c_misses;
-    if fp.jobs > 1 then begin
-      set "bu.jobs" fp.jobs;
+    if fp.config.jobs > 1 then begin
+      set "bu.jobs" fp.config.jobs;
       set "bu.par_units" fp.ctr.c_par_units
     end;
     match fp.lineage with
@@ -1785,45 +1755,37 @@ let emit_gauges fp =
     | None -> ()
   end
 
-let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(ignore = Prelude.predicates)
-    ?(refine = fun _ -> None) ?(max_iterations = 10_000)
-    ?(max_facts = 1_000_000) ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1)
-    ?(lineage = false) ?(seed = []) db =
-  let jobs = Pool.resolve_jobs jobs in
-  let fp, facts =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-      ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db
-  in
-  (* net the seeds like {!apply} nets a batch: a seed structurally equal
-     to a parsed fact, or repeated in the seed list, lands in the store
-     (and the counters) exactly once *)
-  let seen = Term_tbl.create (max 64 (List.length seed)) in
-  List.iter (fun (_, t) -> Term_tbl.replace seen t ()) facts;
-  let facts =
-    facts
-    @ List.filter_map
-        (fun t ->
-          if not (Term.is_ground t) then
-            unsupported "seed: non-ground seed fact %s" (Term.to_string t);
-          if Term_tbl.mem seen t then None
-          else begin
-            Term_tbl.replace seen t ();
-            Some (rel_of ~refine ~what:"seed" t, t)
-          end)
-        seed
-  in
-  List.iter
-    (fun (rel, t) ->
-      match add fp rel t with
-      | Some t -> Term_tbl.replace fp.base t rel
-      | None -> Term_tbl.replace fp.base (Term.hcons t) rel)
-    facts;
+let run ?(config = Config.default) ?spatial ?(refine = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) ?(seed = []) db =
+  Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "bottom_up.run" @@ fun () ->
+  let fp, facts = build_fixpoint ~config ~spatial ~refine ~tracer db in
+  Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "bu.edb_load" (fun () ->
+      (* net the seeds like {!apply} nets a batch: a seed structurally
+         equal to a parsed fact, or repeated in the seed list, lands in
+         the store (and the counters) exactly once *)
+      let seen = Term_tbl.create (max 64 (List.length seed)) in
+      List.iter (fun (_, t) -> Term_tbl.replace seen t ()) facts;
+      let facts =
+        facts
+        @ List.filter_map
+            (fun t ->
+              if not (Term.is_ground t) then
+                unsupported "seed: non-ground seed fact %s" (Term.to_string t);
+              if Term_tbl.mem seen t then None
+              else begin
+                Term_tbl.replace seen t ();
+                Some (rel_of ~refine ~what:"seed" t, t)
+              end)
+            seed
+      in
+      List.iter
+        (fun (rel, t) ->
+          match add fp rel t with
+          | Some t -> Term_tbl.replace fp.base t rel
+          | None -> Term_tbl.replace fp.base (Term.hcons t) rel)
+        facts);
   prebuild_spatial fp;
   let stratum_acc = ref [] in
-  let run_frame =
-    Gdp_obs.Tracer.begin_span tracer ~cat:"fixpoint" "bottom_up.run"
-  in
   Array.iteri
     (fun si srules ->
       if srules <> [] then begin
@@ -1860,7 +1822,6 @@ let run ?(strategy = Semi_naive) ?(indexing = true) ?spatial
           :: !stratum_acc
       end)
     fp.by_stratum;
-  Gdp_obs.Tracer.end_span tracer run_frame;
   emit_gauges fp;
   fp.strata_stats <- List.rev !stratum_acc;
   fp
@@ -1985,7 +1946,7 @@ let stats fp =
     bu_spatial_scans = fp.ctr.c_sscans;
     bu_hcons_hits = fp.ctr.c_hits;
     bu_hcons_misses = fp.ctr.c_misses;
-    bu_jobs = fp.jobs;
+    bu_jobs = fp.config.jobs;
     bu_par_units = fp.ctr.c_par_units;
     bu_strata_stats = fp.strata_stats;
     bu_incr = incr_stats fp;
@@ -2263,13 +2224,10 @@ let recompute_stratum fp ~budget_from srules ~seeds_a ~seeds_d =
   fp.incr.i_deleted <- fp.incr.i_deleted + List.length !net_dels;
   (!net_adds, !net_dels)
 
-let apply ?jobs fp (updates : update list) =
-  (* an explicit [jobs] re-pins the fixpoint's parallelism for this and
-     every later batch; the default keeps what {!run} chose. The
-     insertion-propagation saturates below go parallel with it; DRed
+let apply fp (updates : update list) =
+  (* insertion propagation runs with the fixpoint's [jobs]; DRed
      over-deletion and rederivation stay sequential (they interleave
-     evaluation with store mutation). *)
-  (match jobs with Some j -> fp.jobs <- Pool.resolve_jobs j | None -> ());
+     evaluation with store mutation) *)
   let inc = fp.incr in
   let budget_from = fp.ctr.c_passes in
   let ins0 = inc.i_inserted and del0 = inc.i_deleted in
@@ -2294,7 +2252,7 @@ let apply ?jobs fp (updates : update list) =
       (match Term.functor_of t with
       | None ->
           unsupported "update: %s is not a predicate atom" (Term.to_string t)
-      | Some (name, arity) when List.mem (name, arity) fp.ignore_preds ->
+      | Some (name, arity) when List.mem (name, arity) library ->
           unsupported "update: %s/%d is a library predicate" name arity
       | Some _ -> ());
       let rel = rel_of ~refine:fp.refine ~what:"update" t in
@@ -2546,20 +2504,13 @@ let export fp =
 
 let snapshot_facts state = state.sn_counters.c_facts
 
-let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
-    ?(spatial_indexing = true) ?(ignore = Prelude.predicates)
-    ?(refine = fun _ -> None) ?(max_iterations = 10_000)
-    ?(max_facts = 1_000_000) ?(tracer = Gdp_obs.Tracer.disabled) ?(jobs = 1)
-    ?(lineage = false) db state =
-  let jobs = Pool.resolve_jobs jobs in
+let import ?(config = Config.default) ?spatial ?(refine = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) db state =
   Gdp_obs.Tracer.with_span tracer ~cat:"snapshot"
     ~args:[ ("facts", Gdp_obs.Tracer.Int (snapshot_facts state)) ]
     "snap.import"
   @@ fun () ->
-  let fp, _parsed =
-    build_fixpoint ~strategy ~indexing ~spatial ~spatial_indexing ~ignore
-      ~refine ~max_iterations ~max_facts ~tracer ~jobs ~lineage db
-  in
+  let fp, _parsed = build_fixpoint ~config ~spatial ~refine ~tracer db in
   if fp.n_strata <> state.sn_n_strata then
     invalid_arg
       (Printf.sprintf
@@ -2572,28 +2523,29 @@ let import ?(strategy = Semi_naive) ?(indexing = true) ?spatial
      Saved relations hold pairwise-distinct facts, so the membership
      probe [add] pays per fact is skipped; [Relation.distinct] plus the
      total-count check below keep a malformed payload detectable. *)
-  let total = ref 0 in
-  List.iter
-    (fun sr ->
-      let r = get fp sr.sr_rel in
-      let interned = Array.map Term.hcons sr.sr_facts in
-      Relation.bulk r interned;
-      if not (Relation.distinct r) then
+  Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "bu.edb_load" (fun () ->
+      let total = ref 0 in
+      List.iter
+        (fun sr ->
+          let r = get fp sr.sr_rel in
+          let interned = Array.map Term.hcons sr.sr_facts in
+          Relation.bulk r interned;
+          if not (Relation.distinct r) then
+            invalid_arg
+              (Printf.sprintf
+                 "Bottom_up.import: %s holds duplicate facts — the snapshot \
+                  payload is malformed"
+                 (Rel.to_string sr.sr_rel));
+          total := !total + Array.length interned)
+        state.sn_rels;
+      if !total <> state.sn_counters.c_facts then
         invalid_arg
           (Printf.sprintf
-             "Bottom_up.import: %s holds duplicate facts — the snapshot \
-              payload is malformed"
-             (Rel.to_string sr.sr_rel));
-      total := !total + Array.length interned)
-    state.sn_rels;
-  if !total <> state.sn_counters.c_facts then
-    invalid_arg
-      (Printf.sprintf
-         "Bottom_up.import: loaded %d facts, snapshot counters claim %d"
-         !total state.sn_counters.c_facts);
-  List.iter
-    (fun (t, rel) -> Term_tbl.replace fp.base (Term.hcons t) rel)
-    state.sn_base;
+             "Bottom_up.import: loaded %d facts, snapshot counters claim %d"
+             !total state.sn_counters.c_facts);
+      List.iter
+        (fun (t, rel) -> Term_tbl.replace fp.base (Term.hcons t) rel)
+        state.sn_base);
   (match fp.lineage with
   | None -> ()
   | Some ps ->

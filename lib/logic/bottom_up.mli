@@ -2,15 +2,11 @@
     ground facts, conjunctive rules, negation as failure over strictly
     lower strata, and ground arithmetic / comparison guards.
 
-    Two evaluation strategies share one stratified core:
-
-    - {e Naive}: within each stratum, every rule re-fires against the full
-      relations on every pass until nothing changes. Kept as the reference
-      implementation and as the baseline the benchmarks compare against.
-    - {e Semi-naive} (the default): each pass only re-fires rules that
-      mention a predicate whose relation changed in the previous pass, and
-      one positive body literal is matched against that {e delta} rather
-      than the full relation — the classic Datalog optimisation.
+    Evaluation is semi-naive: after a stratum's opening pass, each pass
+    only re-fires rules that mention a predicate whose relation changed
+    in the previous pass, and one positive body literal is matched
+    against that {e delta} rather than the full relation — the classic
+    Datalog optimisation.
 
     Facts are stored per relation in hash sets of hash-consed terms
     (O(1) expected membership; see {!Term.hash} and {!Term.hcons}), so a
@@ -20,8 +16,9 @@
     literal leading under semi-naive evaluation), and every positive
     literal with at least one ground argument probes a lazily built hash
     index on those argument positions instead of scanning the relation.
-    [run ~indexing:false] disables both the plans and the probes — the
-    scan baseline the [engine-bu] benchmarks measure against.
+    {!Config.t}'s [indexing = false] disables both the plans and the
+    probes — the scan reference the [engine-bu] benchmarks measure
+    against.
 
     Three uses: materialising the consequences of a requirements base (all
     realised facts at once, independent of query order — see
@@ -37,12 +34,6 @@ type fixpoint
 
 exception Unsupported of string
 (** Raised when the database leaves the fragment. See {!classify}. *)
-
-type strategy = Naive | Semi_naive
-(** [Naive] re-fires every rule against the whole store each pass (the
-    textbook baseline, kept for benchmarking); [Semi_naive] — the
-    default — restricts each firing to the previous pass's delta. Both
-    compute the same least model. *)
 
 type refine = string * int -> int option
 (** Relation refinement: [refine (name, arity) = Some pos] splits the
@@ -79,21 +70,58 @@ type spatial = {
       (** whether a ±eps coordinate box contains the metric eps-ball
           (cartesian-like coordinates; false for geographic/haversine,
           where [pt_dist] joins must not compile to box probes) *)
-  sp_grid_cell : float option;
-      (** [Some c]: maintain uniform-grid indexes with cell size [c];
-          [None]: STR-packed R-trees *)
 }
 (** Spatial evaluation hooks, supplied by the GDP compiler
     ([Gdp_core.Compile.spatial_hints]). With [~spatial] set, {!run}
     whitelists the hook's builtins as native body literals and — unless
-    [~spatial_indexing:false] — compiles joins guarded by [region_mem]
-    or bounded [pt_dist] into spatial-index probes over lazily built
-    per-relation point indexes. The probes are sound pre-filters (the
-    exact guard always re-checks), so the derived model, stratification
-    and provenance are identical with indexing on and off. *)
+    [config.spatial_indexing] is off — compiles joins guarded by
+    [region_mem] or bounded [pt_dist] into R-tree probes over lazily
+    built per-relation point indexes. The probes are sound pre-filters
+    (the exact guard always re-checks), so the derived model,
+    stratification and provenance are identical with indexing on and
+    off. *)
+
+(** The engine configuration: every setting of a fixpoint that is not
+    an input. One value serves {!run} and {!import}. *)
+module Config : sig
+  type t = {
+    jobs : int;
+        (** evaluation parallelism. With [jobs > 1] every within-stratum
+            pass fans (rule × delta-partition) work units — the delta
+            relation hash-partitioned on each rule's first join-key
+            position — over a shared pool of OCaml 5 domains ({!Pool}),
+            merging the per-worker derivation buffers single-threaded in
+            the standard order of terms, so the derived fact set is
+            identical to the sequential engine's and every run with the
+            same [jobs] is bit-deterministic (pass/firing counts may
+            differ from [jobs = 1], which keeps the sequential pass
+            structure). [0] autodetects the core count
+            ({!Pool.auto_jobs}). *)
+    lineage : bool;
+        (** record why-provenance: every derived tuple keeps one witness
+            from its first derivation — see the
+            {{!section:provenance} provenance section}. Lineage never
+            changes what is derived, the pass structure, or any counter
+            in {!stats} other than the [bu_prov] block. The only field
+            that changes the state a snapshot stores. *)
+    indexing : bool;
+        (** join plans and hash-index probes. [false] is the scan
+            reference: bodies evaluate in textual order and positive
+            literals scan their whole relation — semantically identical,
+            kept for benchmarks and differential tests. *)
+    spatial_indexing : bool;
+        (** R-tree probes for spatially guarded joins (with [~spatial]).
+            [false] is the scan reference: every annotated join takes
+            the hash/scan path, with the same model and guard
+            semantics. *)
+  }
+
+  val default : t
+  (** [{ jobs = 1; lineage = false; indexing = true;
+      spatial_indexing = true }]. *)
+end
 
 val classify :
-  ?ignore:(string * int) list ->
   ?refine:refine ->
   ?spatial:spatial ->
   Database.t ->
@@ -105,13 +133,12 @@ val classify :
     [=], [\=]) or builtins in a body; negation of a non-atomic goal;
     a guard or negated literal with variables not bound by a preceding
     positive literal; a non-ground fact; a head variable not bound by the
-    body; and negation through a recursive stratum. Clauses whose head
-    predicate is listed in [ignore] (default: {!Prelude.predicates}, so
-    engine databases created by {!Engine.create} classify on user clauses
-    only) are invisible; body references to them are rejected. *)
+    body; and negation through a recursive stratum. Clauses of the
+    library predicates ({!Prelude.predicates}, so engine databases
+    created by {!Engine.create} classify on user clauses only) are
+    invisible; body references to them are rejected. *)
 
 val supported :
-  ?ignore:(string * int) list ->
   ?refine:refine ->
   ?spatial:spatial ->
   Database.t ->
@@ -178,7 +205,7 @@ type stats = {
       (** spatially annotated joins answered by a spatial-index probe *)
   bu_spatial_scans : int;
       (** spatially annotated joins that fell back to the hash path —
-          all of them under [~spatial_indexing:false], else the joins
+          all of them under [config.spatial_indexing = false], else the joins
           whose probe box could not be computed at evaluation time *)
   bu_hcons_hits : int;
       (** derived terms already interned — structurally equal to a stored
@@ -195,60 +222,36 @@ type stats = {
 }
 
 val run :
-  ?strategy:strategy ->
-  ?indexing:bool ->
+  ?config:Config.t ->
   ?spatial:spatial ->
-  ?spatial_indexing:bool ->
-  ?ignore:(string * int) list ->
   ?refine:refine ->
-  ?max_iterations:int ->
-  ?max_facts:int ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
-  ?lineage:bool ->
   ?seed:Term.t list ->
   Database.t ->
   fixpoint
-(** Evaluate strata in dependency order to the least fixpoint (default
-    strategy {!Semi_naive}; default bounds: 10_000 passes, 1_000_000
-    facts — exceeding either raises [Failure], which only unsafe
-    function-symbol recursion can trigger). Raises {!Unsupported} with
-    the {!classify} reason when the database leaves the fragment.
-    [indexing] (default [true]) controls the join machinery: when off,
-    bodies evaluate in textual order and positive literals scan their
-    whole relation — the measured-against baseline, semantically
-    identical to the indexed path. [spatial] (default absent) supplies
-    the {!spatial} hooks: whitelisted spatial builtins evaluate natively
-    and, with [spatial_indexing] (default [true]), joins guarded by
-    [region_mem] or a bounded [pt_dist] probe lazily built spatial
-    indexes (one ["bu.spatial.build"] span each at load time, final
-    [bu.spatial.probes]/[bu.spatial.scans] counter samples);
-    [~spatial_indexing:false] keeps the exact same model and guard
-    semantics while every annotated join takes the hash/scan path. [tracer] (default disabled) records
-    one ["fixpoint"]-category span for the whole run, one per non-empty
-    stratum (with rule/pass/derived-fact counts as span arguments) and
-    one per pass (with the delta size), plus final [bu.*] counter
-    samples — see {!Gdp_obs.Tracer}. [jobs] (default 1) sets the
-    evaluation parallelism: with [jobs > 1] every within-stratum pass
-    fans (rule × delta-partition) work units — the delta relation hash-
-    partitioned on each rule's first join-key position — over a shared
-    pool of OCaml 5 domains ({!Pool}), merging the per-worker derivation
-    buffers single-threaded in the standard order of terms, so the
-    derived fact set is identical to the sequential engine's and every
-    run with the same [jobs] is bit-deterministic (pass/firing counts
-    may differ from [jobs = 1], which keeps the sequential pass
-    structure untouched); [jobs = 0] autodetects the machine's core
-    count ({!Pool.auto_jobs}). [seed] (default empty) is a list of
-    extra ground facts injected into the base before the strata run —
-    the hook the magic-set rewrite ({!Magic}) uses to plant the query
-    seed; a non-ground or non-atomic seed raises {!Unsupported}.
-    Seeds are netted against the parsed facts and each other: a seed
-    already present, or repeated, counts once. [lineage] (default
-    [false]) turns on the why-provenance sidecar: every derived tuple
-    records one witness at its first derivation — see the
-    {{!section:provenance} provenance section}. Lineage never changes
-    what is derived, the pass structure, or any counter in {!stats}
-    other than the [bu_prov] block. *)
+(** Evaluate strata in dependency order to the least fixpoint under
+    [config] (default {!Config.default}). The evaluation bounds are
+    fixed at 10_000 passes and 1_000_000 facts; exceeding either raises
+    [Failure], which only unsafe function-symbol recursion can trigger.
+    Raises {!Unsupported} with the {!classify} reason when the database
+    leaves the fragment. [spatial] (default absent) supplies the
+    {!spatial} hooks: whitelisted spatial builtins evaluate natively
+    and annotated joins probe lazily built R-trees (one
+    ["bu.spatial.build"] span each at load time, final
+    [bu.spatial.probes]/[bu.spatial.scans] counter samples).
+    [tracer] (default disabled) records one ["fixpoint"]-category
+    ["bottom_up.run"] span for the whole call, with children
+    ["bu.prepare"] (classification, stratification and planning),
+    ["bu.edb_load"] (interning the base facts and seeds), the spatial
+    index builds, one span per non-empty stratum (with rule/pass/
+    derived-fact counts as span arguments) and one per pass (with the
+    delta size), plus final [bu.*] counter samples — see
+    {!Gdp_obs.Tracer}. [seed] (default empty) is a list of extra ground
+    facts injected into the base before the strata run — the hook the
+    magic-set rewrite ({!Magic}) uses to plant the query seed; a
+    non-ground or non-atomic seed raises {!Unsupported}. Seeds are
+    netted against the parsed facts and each other: a seed already
+    present, or repeated, counts once. *)
 
 val facts : fixpoint -> Term.t list
 (** All derived ground atoms, sorted in the standard order of terms. *)
@@ -279,10 +282,9 @@ val iterations : fixpoint -> int
 (** Total number of passes across all strata until the least fixpoint. *)
 
 val rule_firings : fixpoint -> int
-(** Number of rule-body evaluations: per pass, naive evaluation fires
-    every rule of the stratum, semi-naive fires one evaluation per
-    (rule, changed-predicate position). The benchmark's "fewer
-    full-relation joins" claim is this counter. *)
+(** Number of rule-body evaluations: every rule once in a stratum's
+    opening pass, then one evaluation per (rule, changed-predicate
+    position) in each delta pass. *)
 
 val strata_count : fixpoint -> int
 (** Number of strata the program was split into (1 for pure positive
@@ -291,7 +293,7 @@ val strata_count : fixpoint -> int
 val stats : fixpoint -> stats
 (** Everything the fixpoint measured, cumulative over the initial run
     and every later {!apply}. Counter fields are deterministic for a
-    given database, options and update history; only
+    given database, configuration and update history; only
     {!stratum_stats.st_ms} varies. *)
 
 val incr_stats : fixpoint -> incr_stats
@@ -331,7 +333,7 @@ type update = [ `Assert of Term.t | `Retract of Term.t ]
 (** One change to the asserted base, as a ground engine atom — the
     logic-level counterpart of [Gdp_core.Spec.update]. *)
 
-val apply : ?jobs:int -> fixpoint -> update list -> unit
+val apply : fixpoint -> update list -> unit
 (** Apply one batch of updates to the asserted base, in script order —
     per fact only the net effect matters (assert-then-retract in one
     batch is a no-op) — then repair the derived consequences. Facts must
@@ -343,10 +345,8 @@ val apply : ?jobs:int -> fixpoint -> update list -> unit
     never asserted, or one only ever derived by rules, is a no-op;
     asserting a fact that rules already derive marks it extensional (it
     then survives losing its rule derivations) without changing the
-    store. Shares {!run}'s iteration/fact bounds per batch. [jobs]
-    (optional) re-pins the fixpoint's evaluation parallelism for this
-    and later batches; by default the setting {!run} chose is kept.
-    Insertion propagation parallelises like the initial run; DRed
+    store. Shares {!run}'s iteration/fact bounds per batch. Insertion
+    propagation parallelises like the initial run; DRed
     over-deletion and rederivation always run sequentially. With
     lineage on, witnesses stay coherent across the batch: witnesses of
     deleted facts are dropped, facts reinstated by rederivation get the
@@ -364,7 +364,7 @@ val retract_fact : fixpoint -> Term.t -> bool
 
 (** {1:provenance Why-provenance}
 
-    With [run ~lineage:true], the fixpoint keeps a sidecar store mapping
+    With [config.lineage] set, the fixpoint keeps a sidecar store mapping
     every {e derived} tuple to one witness: the rule that first produced
     it plus that firing's instantiated body — supporting positive tuples,
     negated literals that had no proof, and satisfied arithmetic /
@@ -387,7 +387,7 @@ type wstep =
       (** One instantiated body literal of a recorded witness. *)
 
 val lineage_enabled : fixpoint -> bool
-(** Whether this fixpoint was run with [~lineage:true] and can answer
+(** Whether this fixpoint was run with [config.lineage] and can answer
     {!witness} / {!proof}. *)
 
 val witness : fixpoint -> Term.t -> (int * wstep list) option
@@ -434,33 +434,27 @@ val snapshot_facts : snapshot_state -> int
     [bu_facts]). *)
 
 val import :
-  ?strategy:strategy ->
-  ?indexing:bool ->
+  ?config:Config.t ->
   ?spatial:spatial ->
-  ?spatial_indexing:bool ->
-  ?ignore:(string * int) list ->
   ?refine:refine ->
-  ?max_iterations:int ->
-  ?max_facts:int ->
   ?tracer:Gdp_obs.Tracer.t ->
-  ?jobs:int ->
-  ?lineage:bool ->
   Database.t ->
   snapshot_state ->
   fixpoint
 (** Rebuild a live fixpoint from [db] and a snapshot {e without
     re-deriving anything}: the database is classified, stratified and
-    planned exactly as {!run} would (same options, same meaning), then
-    the saved facts are bulk-inserted — re-interned through
+    planned exactly as {!run} would (same configuration, same meaning),
+    then the saved facts are bulk-inserted — re-interned through
     {!Term.hcons} — the saved counters, per-stratum statistics,
     maintenance counters and witnesses are restored, the recorded lazy
     hash indexes and the planned spatial indexes are rebuilt eagerly,
-    and the usual final counter gauges are emitted (plus one
-    ["snap.import"] span) when the tracer is live. The result answers
-    {!holds}/{!probe}/{!proof} and accepts {!apply} exactly like the
-    fixpoint {!export} captured. Callers must pass a database compiled
-    from the same program under the same options the snapshot was
-    saved from — [Gdp_core] enforces this with a content hash; as
-    defence in depth, a stratification-shape or fact-count mismatch
-    raises [Invalid_argument]. Raises {!Unsupported} when [db] leaves
-    the evaluable fragment. *)
+    and the usual final counter gauges are emitted when the tracer is
+    live, under one ["snap.import"] span whose children are
+    ["bu.prepare"], ["bu.edb_load"] and the spatial index builds. The
+    result answers {!holds}/{!probe}/{!proof} and accepts {!apply}
+    exactly like the fixpoint {!export} captured. Callers must pass a
+    database compiled from the same program under the same lineage
+    setting the snapshot was saved from — [Gdp_core] enforces this with
+    a content hash; as defence in depth, a stratification-shape or
+    fact-count mismatch raises [Invalid_argument]. Raises
+    {!Unsupported} when [db] leaves the evaluable fragment. *)

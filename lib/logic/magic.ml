@@ -348,11 +348,10 @@ let distinct_strata get keys =
   Kset.fold (fun k acc -> Iset.add (get k) acc) keys Iset.empty
   |> Iset.cardinal
 
-let rewrite ?(ignore = Prelude.predicates) ?(refine = fun _ -> None)
-    ?(spatial_ext = fun _ -> None) ?(tracer = Gdp_obs.Tracer.disabled) ~goal db
-    =
+let rewrite ?(refine = fun _ -> None) ?(spatial_ext = fun _ -> None)
+    ?(tracer = Gdp_obs.Tracer.disabled) ~goal db =
   Gdp_obs.Tracer.with_span tracer ~cat:"fixpoint" "magic.rewrite" @@ fun () ->
-  let facts, rules = parse db ~ignore ~refine ~spatial_ext in
+  let facts, rules = parse db ~ignore:Prelude.predicates ~refine ~spatial_ext in
   let idb =
     List.fold_left (fun s r -> Kset.add r.ckey s) Kset.empty rules
   in

@@ -3,9 +3,9 @@
    fixpoint ([Bottom_up.apply] — semi-naive insertion deltas, DRed
    deletions, stratum recompute under changed negated inputs) must hold
    exactly the facts a from-scratch [Bottom_up.run] computes on the
-   identically mutated database. Checked for every engine configuration:
-   semi-naive with indexed joins (the default), naive, and the
-   [~indexing:false] scan baseline. Plus directed unit tests for the
+   identically mutated database. Checked for both engine configurations:
+   indexed joins (the default) and the [Config.indexing = false] scan
+   baseline. Plus directed unit tests for the
    DRed edge cases and the maintenance counters. *)
 
 open Gdp_logic
@@ -119,9 +119,10 @@ let arb_case =
    the fixpoint reports — [assert_fact]/[retract_fact] return whether
    the asserted base actually changed, and the clause store must stay
    in lockstep (no duplicate unit clauses, no phantom retractions). *)
-let agree_after_script ~strategy ~indexing (src, script) =
+let agree_after_script ~indexing (src, script) =
+  let config = { Bottom_up.Config.default with indexing } in
   let db = engine_db_of src in
-  let fp = Bottom_up.run ~strategy ~indexing db in
+  let fp = Bottom_up.run ~config db in
   List.for_all
     (fun (asserted, fact_src) ->
       let t = term fact_src in
@@ -130,21 +131,20 @@ let agree_after_script ~strategy ~indexing (src, script) =
        end
        else if Bottom_up.retract_fact fp t then
          Stdlib.ignore (Database.retract_fact db t));
-      let fresh = Bottom_up.run ~strategy ~indexing db in
+      let fresh = Bottom_up.run ~config db in
       List.equal Term.equal (Bottom_up.facts fp) (Bottom_up.facts fresh))
     script
 
-let prop_config name strategy indexing =
+let prop_config name indexing =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
          "incremental maintenance tracks from-scratch runs (%s)" name)
     ~count:310 arb_case
-    (agree_after_script ~strategy ~indexing)
+    (agree_after_script ~indexing)
 
-let prop_semi_naive = prop_config "semi-naive, indexed" Bottom_up.Semi_naive true
-let prop_naive = prop_config "naive" Bottom_up.Naive true
-let prop_scan = prop_config "semi-naive, scans" Bottom_up.Semi_naive false
+let prop_indexed = prop_config "indexed" true
+let prop_scan = prop_config "scans" false
 
 (* Goal-directed evaluation over a changing base: after every script
    step, rewriting the mutated database for a point goal and evaluating
@@ -345,8 +345,7 @@ let tests =
       test_update_rejects_non_ground;
     Alcotest.test_case "stats stay cumulative and consistent" `Quick
       test_stats_cumulative;
-    QCheck_alcotest.to_alcotest prop_semi_naive;
-    QCheck_alcotest.to_alcotest prop_naive;
+    QCheck_alcotest.to_alcotest prop_indexed;
     QCheck_alcotest.to_alcotest prop_scan;
     QCheck_alcotest.to_alcotest prop_magic;
     QCheck_alcotest.to_alcotest prop_batched;

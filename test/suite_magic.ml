@@ -31,9 +31,9 @@ let answers fp goal =
   |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
   |> List.sort Term.compare
 
-let magic_run ?indexing db goal =
+let magic_run ?config db goal =
   let rewritten, info = Magic.rewrite ~goal db in
-  (Bottom_up.run ?indexing ~seed:info.Magic.seeds rewritten, info)
+  (Bottom_up.run ?config ~seed:info.Magic.seeds rewritten, info)
 
 (* A depth-out neither confirms nor refutes: report Unknown. *)
 let succeeds_opt options db goals =
@@ -309,8 +309,9 @@ let constants = [ "a"; "b"; "c"; "d" ]
 let three_way_agree ~indexing (clauses, (gname, slots)) =
   let db = engine_db_of (String.concat "\n" clauses) in
   let goal = goal_term gname slots in
-  let full = Bottom_up.run ~indexing db in
-  let magic_fp, _info = magic_run ~indexing db goal in
+  let config = { Bottom_up.Config.default with indexing } in
+  let full = Bottom_up.run ~config db in
+  let magic_fp, _info = magic_run ~config db goal in
   let full_answers = answers full goal in
   List.equal Term.equal full_answers (answers magic_fp goal)
   &&

@@ -241,13 +241,88 @@ let test_scan_vs_probe () =
   let db = Engine.create () in
   Engine.consult db
     "e(a, b). e(b, c). r(X, Y) :- e(X, Y). r(X, Z) :- e(X, Y), r(Y, Z).";
-  let indexed = Bottom_up.stats (Bottom_up.run ~indexing:true db) in
-  let scanned = Bottom_up.stats (Bottom_up.run ~indexing:false db) in
+  let indexed = Bottom_up.stats (Bottom_up.run db) in
+  let scanned =
+    Bottom_up.stats
+      (Bottom_up.run ~config:{ Bottom_up.Config.default with indexing = false } db)
+  in
   Alcotest.(check int) "scan baseline never probes" 0
     scanned.Bottom_up.bu_index_probes;
   Alcotest.(check bool) "indexed run replaces scans with probes" true
     (indexed.Bottom_up.bu_index_probes > 0
     && indexed.Bottom_up.bu_full_scans < scanned.Bottom_up.bu_full_scans)
+
+(* ---- the materialised engine's span tree ---- *)
+
+(* The specification [gdpgen terrain --size K] writes (default seed and
+   sea level), read back through the front end like [gdprs] reads it. *)
+let gdpgen_terrain size_exp =
+  let open Gdp_core in
+  let rng = Gdp_workload.Rng.create 42L in
+  let terrain = Gdp_workload.Terrain.generate rng ~size_exp ~cell:1.0 () in
+  let cells = float_of_int (terrain.Gdp_workload.Terrain.size - 1) in
+  let spec = Spec.create () in
+  Meta.install_standard spec;
+  Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"fine" 1.0);
+  Spec.declare_space spec (Gdp_space.Resolution.uniform ~name:"coarse" 4.0);
+  Spec.declare_region spec "map"
+    (Gdp_space.Region.rect ~min_x:0.0 ~min_y:0.0 ~max_x:cells ~max_y:cells);
+  Spec.declare_object spec "land";
+  Stdlib.ignore
+    (Gdp_workload.Terrain.add_elevation_facts terrain spec ~resolution:"fine"
+       ~object_name:"land" ~scale:1000.0 ());
+  Stdlib.ignore
+    (Gdp_workload.Terrain.add_mask_facts terrain spec ~resolution:"fine"
+       ~pred:"lake" ~object_name:"land"
+       ~keep:(fun h -> h < 0.35)
+       ());
+  (Gdp_lang.Elaborate.load_string (Gdp_lang.Pretty.spec_to_string spec))
+    .Gdp_lang.Elaborate.spec
+
+(* [bottom_up.run] opens before classification and EDB interning, so
+   [bu.prepare] and [bu.edb_load] nest under it and the query-level
+   [materialize] span keeps almost no time of its own. Self time is
+   compared against a 5% budget on the best of three runs, so one
+   scheduler hiccup cannot fail the check. *)
+let test_materialize_spans () =
+  let spec = gdpgen_terrain 4 in
+  let trial () =
+    let tracer = Tracer.create () in
+    let q =
+      Gdp_core.Query.create ~mode:Gdp_core.Query.Materialized ~tracer spec
+    in
+    Stdlib.ignore (Gdp_core.Query.materialization q);
+    let spans = Tracer.spans tracer in
+    let one name =
+      match
+        List.filter (fun (s : Tracer.span) -> s.Tracer.name = name) spans
+      with
+      | [ s ] -> s
+      | l -> Alcotest.failf "%d %s spans, want 1" (List.length l) name
+    in
+    let mat = one "materialize" and run = one "bottom_up.run" in
+    Alcotest.(check int) "bottom_up.run nests under materialize" mat.Tracer.id
+      run.Tracer.parent;
+    List.iter
+      (fun name ->
+        Alcotest.(check int)
+          (name ^ " nests under bottom_up.run")
+          run.Tracer.id (one name).Tracer.parent)
+      [ "bu.prepare"; "bu.edb_load" ];
+    let children =
+      List.fold_left
+        (fun acc (s : Tracer.span) ->
+          if s.Tracer.parent = mat.Tracer.id then Int64.add acc s.Tracer.dur_ns
+          else acc)
+        0L spans
+    in
+    Int64.to_float (Int64.sub mat.Tracer.dur_ns children)
+    /. Int64.to_float mat.Tracer.dur_ns
+  in
+  let best = List.fold_left Float.min 1.0 (List.init 3 (fun _ -> trial ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "materialize self time %.1f%% < 5%%" (100.0 *. best))
+    true (best < 0.05)
 
 (* ---- determinism: every counter identical across repeated runs ---- *)
 
@@ -330,6 +405,7 @@ let tests =
       test_spans_match_call_ports;
     Alcotest.test_case "bottom-up stats" `Quick test_bottom_up_stats;
     Alcotest.test_case "scan vs probe counters" `Quick test_scan_vs_probe;
+    Alcotest.test_case "materialize span tree" `Quick test_materialize_spans;
     QCheck_alcotest.to_alcotest prop_solve_counters_deterministic;
     QCheck_alcotest.to_alcotest prop_fixpoint_counters_deterministic;
   ]

@@ -1,11 +1,12 @@
 (* The parallel fixpoint, tested differentially: for any program in the
-   stratified fragment, [Bottom_up.run ~jobs:n] for n > 1 — partitioned
-   rule firing over the domain pool, domain-local interning, canonical
-   single-threaded merge — must derive exactly the facts the sequential
-   engine derives. Checked over the same random program distributions
-   the engine-props suite uses, over random incremental update scripts,
-   and over goal-directed (magic-seeded) evaluations. Plus unit tests
-   for the pool itself and for [run ~seed] netting. *)
+   stratified fragment, [Bottom_up.run] with [Config.jobs = n] for n > 1
+   — partitioned rule firing over the domain pool, domain-local
+   interning, canonical single-threaded merge — must derive exactly the
+   facts the sequential engine derives. Checked over the same random
+   program distributions the engine-props suite uses, over random
+   incremental update scripts, and over goal-directed (magic-seeded)
+   evaluations. Plus unit tests for the pool itself and for
+   [run ~seed] netting. *)
 
 open Gdp_logic
 
@@ -20,6 +21,7 @@ let engine_db_of src =
   db
 
 let term = Reader.term
+let jobs_config jobs = { Bottom_up.Config.default with jobs }
 let facts_of fp = List.map Term.to_string (Bottom_up.facts fp)
 
 (* ------------------------------------------------------------------ *)
@@ -145,8 +147,8 @@ let parallel_agrees ?(jobs_values = [ 2; 4 ]) db =
   let seq = Bottom_up.run db in
   List.for_all
     (fun jobs ->
-      let par = Bottom_up.run ~jobs db in
-      let par2 = Bottom_up.run ~jobs db in
+      let par = Bottom_up.run ~config:(jobs_config jobs) db in
+      let par2 = Bottom_up.run ~config:(jobs_config jobs) db in
       List.equal Term.equal (Bottom_up.facts seq) (Bottom_up.facts par)
       && (* same jobs value twice: bit-deterministic, every counter —
             only the stratum wall-clock readings may differ *)
@@ -175,7 +177,7 @@ let test_parallel_fixed_programs () =
 
 let test_parallel_stats () =
   let seq = Bottom_up.run (db_of chain) in
-  let par = Bottom_up.run ~jobs:2 (db_of chain) in
+  let par = Bottom_up.run ~config:(jobs_config 2) (db_of chain) in
   Alcotest.(check int) "sequential reports 1 job" 1
     (Bottom_up.stats seq).Bottom_up.bu_jobs;
   Alcotest.(check int) "no work units sequentially" 0
@@ -188,7 +190,7 @@ let test_parallel_stats () =
 (* jobs = 0 autodetects; whatever it picks must still agree *)
 let test_parallel_autodetect () =
   let seq = Bottom_up.run (db_of chain) in
-  let auto = Bottom_up.run ~jobs:0 (db_of chain) in
+  let auto = Bottom_up.run ~config:(jobs_config 0) (db_of chain) in
   Alcotest.(check (list string)) "autodetected run agrees" (facts_of seq)
     (facts_of auto);
   Alcotest.(check bool) "resolved to a positive job count" true
@@ -220,7 +222,7 @@ let prop_parallel_stratified =
    script) and mirrors its database-gating discipline. *)
 let parallel_tracks_script (src, script) =
   let db = engine_db_of src in
-  let fp = Bottom_up.run ~jobs:2 db in
+  let fp = Bottom_up.run ~config:(jobs_config 2) db in
   List.for_all
     (fun (asserted, fact_src) ->
       let t = term fact_src in
@@ -252,7 +254,9 @@ let magic_parallel_agrees (src, _script) =
       let goal = term goal_src in
       let rewritten, info = Magic.rewrite ~goal db in
       let seq = Bottom_up.run ~seed:info.Magic.seeds rewritten in
-      let par = Bottom_up.run ~jobs:2 ~seed:info.Magic.seeds rewritten in
+      let par =
+        Bottom_up.run ~config:(jobs_config 2) ~seed:info.Magic.seeds rewritten
+      in
       List.equal Term.equal (answers seq goal) (answers par goal))
     Suite_incremental.magic_goals
 

@@ -14,6 +14,7 @@ open Gdp_logic
 
 let db_of = Suite_engine_props.db_of
 let engine_db_of = Suite_engine_props.engine_db_of
+let lineage_on = { Bottom_up.Config.default with lineage = true }
 
 (* The asserted base of a source program: heads of its unit clauses.
    Witnesses exist exactly for the non-base (derived) stored facts. *)
@@ -136,7 +137,7 @@ let prop_lineage =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_program)
     (fun src ->
       let db = db_of src in
-      lineage_ok db (base_facts src) (Bottom_up.run ~lineage:true db))
+      lineage_ok db (base_facts src) (Bottom_up.run ~config:lineage_on db))
 
 let prop_lineage_stratified =
   QCheck.Test.make
@@ -147,7 +148,7 @@ let prop_lineage_stratified =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_stratified_program)
     (fun src ->
       let db = engine_db_of src in
-      lineage_ok db (base_facts src) (Bottom_up.run ~lineage:true db))
+      lineage_ok db (base_facts src) (Bottom_up.run ~config:lineage_on db))
 
 (* Witness coherence through incremental maintenance: retract base facts
    (forcing DRed over-deletion, rederivation-with-refresh and negation-
@@ -161,7 +162,7 @@ let prop_lineage_updates =
     (fun src ->
       let db = engine_db_of src in
       let base = base_facts src in
-      let fp = Bottom_up.run ~lineage:true db in
+      let fp = Bottom_up.run ~config:lineage_on db in
       let scripts =
         [
           [
@@ -219,8 +220,8 @@ let prop_lineage_jobs =
     (QCheck.make ~print:(fun s -> s) Suite_engine_props.gen_stratified_program)
     (fun src ->
       let db = engine_db_of src in
-      let fp2 = Bottom_up.run ~jobs:2 ~lineage:true db in
-      let fp4 = Bottom_up.run ~jobs:4 ~lineage:true db in
+      let fp2 = Bottom_up.run ~config:{ lineage_on with jobs = 2 } db in
+      let fp4 = Bottom_up.run ~config:{ lineage_on with jobs = 4 } db in
       List.equal Term.equal (Bottom_up.facts fp2) (Bottom_up.facts fp4)
       && List.for_all
            (fun t ->
@@ -234,7 +235,7 @@ let chain =
 
 let test_witness_basics () =
   let db = db_of chain in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run ~config:lineage_on db in
   Alcotest.(check bool) "lineage on" true (Bottom_up.lineage_enabled fp);
   Alcotest.(check bool)
     "base fact has no witness" true
@@ -257,7 +258,7 @@ let test_witness_basics () =
 
 let test_proof_reconstruction () =
   let db = db_of chain in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run ~config:lineage_on db in
   (match Bottom_up.proof fp (Reader.term "r(a, c)") with
   | Some (Explain.Rule { goal; _ } as p) ->
       Alcotest.(check bool) "root goal" true
@@ -275,7 +276,7 @@ let test_naf_and_guard_leaves () =
        big(X) :- v(X, N), N >= 3.\n\
        small(X) :- node(X), \\+ big(X)."
   in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run ~config:lineage_on db in
   let rec leaves acc = function
     | Explain.Rule { premises; _ } -> List.fold_left leaves acc premises
     | Explain.Branch { taken; _ } -> leaves acc taken
@@ -307,7 +308,7 @@ let test_witness_refresh_on_retract () =
       "e(a, b). e(a, c). e(c, b).\n\
        r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y)."
   in
-  let fp = Bottom_up.run ~lineage:true db in
+  let fp = Bottom_up.run ~config:lineage_on db in
   Bottom_up.apply fp [ `Retract (Reader.term "e(a, b)") ];
   ignore (Database.retract_fact db (Reader.term "e(a, b)"));
   Alcotest.(check bool) "r(a, b) survives" true

@@ -323,8 +323,51 @@ let test_update_maintains_views () =
         (List.length (Spec.update_log spec))
   | _ -> Alcotest.fail "non-ground update accepted"
 
+(* Every fixpoint a query builds — the materialisation, a magic-set
+   evaluation and a snapshot import — runs under the one engine
+   configuration the query derives from its specification. *)
+let test_engine_config () =
+  List.iter
+    (fun (provenance, jobs) ->
+      let spec = datalog_spec () in
+      spec.Spec.provenance <- provenance;
+      spec.Spec.jobs <- jobs;
+      let q = Query.with_mode (Query.create spec) Query.Materialized in
+      let goal =
+        Gfact.to_holds ~default_model:Names.default_model
+          (Gfact.make "reach" ~objects:[ a "n1"; v "X" ])
+      in
+      let path = Filename.temp_file "gdprs_config" ".gdpx" in
+      let imported =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Stdlib.ignore (Query.save_snapshot q path);
+            let warm = Query.with_mode (Query.create spec) Query.Materialized in
+            match Query.of_snapshot warm path with
+            | Ok _ -> Query.materialization warm
+            | Error e -> Alcotest.fail (Query.snapshot_error_message e))
+      in
+      List.iter
+        (fun (leg, fp) ->
+          let s = Bottom_up.stats fp in
+          let what =
+            Printf.sprintf "%s (provenance %b, jobs %d)" leg provenance jobs
+          in
+          Alcotest.(check bool) (what ^ ": lineage") provenance
+            s.Bottom_up.bu_lineage;
+          Alcotest.(check int) (what ^ ": jobs") jobs s.Bottom_up.bu_jobs)
+        [
+          ("materialisation", Query.materialization q);
+          ("magic", fst (Query.magic_materialization q goal));
+          ("snapshot import", imported);
+        ])
+    [ (false, 1); (true, 2); (false, 2) ]
+
 let tests =
   [
+    Alcotest.test_case "one engine configuration per query" `Quick
+      test_engine_config;
     Alcotest.test_case "paper's virtual facts" `Quick test_paper_virtual_facts;
     Alcotest.test_case "materialized engine mode" `Quick test_materialized_mode;
     Alcotest.test_case "incremental updates keep every view coherent" `Quick

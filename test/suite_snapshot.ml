@@ -49,13 +49,14 @@ let witness_key fp t =
    of a bool so QCheck failures say which leg diverged. *)
 let roundtrip_check ?(lineage = false) ?(indexing = true) mk_db =
   with_temp @@ fun path ->
-  let cold = Bottom_up.run ~indexing ~lineage (mk_db ()) in
+  let config = { Bottom_up.Config.default with indexing; lineage } in
+  let cold = Bottom_up.run ~config (mk_db ()) in
   let (_ : int) =
     Snapshot.save ~path
       { Snapshot.key = "k"; meta = "m"; state = Bottom_up.export cold }
   in
   let snap, (_ : int) = Snapshot.load ~path () in
-  let warm = Bottom_up.import ~indexing ~lineage (mk_db ()) snap.Snapshot.state in
+  let warm = Bottom_up.import ~config (mk_db ()) snap.Snapshot.state in
   if snap.Snapshot.key <> "k" || snap.Snapshot.meta <> "m" then
     Error "key/meta did not round-trip"
   else if
@@ -137,8 +138,9 @@ let test_spatial_roundtrip () =
         let spec, db = spatial_spec_db () in
         (Compile.spatial_hints spec, db)
       in
+      let config = { Bottom_up.Config.default with spatial_indexing } in
       let spatial, db = run_leg () in
-      let cold = Bottom_up.run ~spatial ~spatial_indexing db in
+      let cold = Bottom_up.run ~config ~spatial db in
       let (_ : int) =
         Snapshot.save ~path
           { Snapshot.key = "k"; meta = ""; state = Bottom_up.export cold }
@@ -146,8 +148,7 @@ let test_spatial_roundtrip () =
       let snap, (_ : int) = Snapshot.load ~path () in
       let spatial2, db2 = run_leg () in
       let warm =
-        Bottom_up.import ~spatial:spatial2 ~spatial_indexing db2
-          snap.Snapshot.state
+        Bottom_up.import ~config ~spatial:spatial2 db2 snap.Snapshot.state
       in
       Alcotest.(check bool)
         (Printf.sprintf "facts agree (spatial_indexing=%b)" spatial_indexing)
@@ -229,9 +230,10 @@ let test_stale_hash_rebuild () =
   (* the caller rebuilds in memory: answers reflect the edited spec *)
   Alcotest.(check bool) "rebuilt model answers from the edited spec" true
     (Query.holds q2 (Gfact.make "reach" ~objects:[ a "n4"; a "n2" ]));
-  (* an engine-configuration change alone is also stale *)
+  (* a change to the stored state's configuration (lineage) alone is
+     also stale *)
   let spec3 = datalog_spec () in
-  spec3.Spec.spatial_indexing <- false;
+  spec3.Spec.provenance <- false;
   match Query.of_snapshot (mat spec3) path with
   | Error (Query.Snapshot_stale _) -> ()
   | Error (Query.Snapshot_corrupt m) -> Alcotest.failf "corrupt, not stale: %s" m
