@@ -252,8 +252,8 @@ let compile_cmd =
   in
   let doc =
     "Materialise a specification's bottom-up fixpoint once and persist it \
-     as a snapshot (.gdpx): facts, indexes, stratification, incremental \
-     state and provenance, keyed by a content hash of the compiled \
+     as a snapshot (.gdpx): facts, stratification, incremental state \
+     and provenance, keyed by a content hash of the compiled \
      specification and engine configuration. Later runs pass \
      $(b,--snapshot) to answer from the file instead of re-deriving — \
      compile once, query many. A snapshot whose key no longer matches is \

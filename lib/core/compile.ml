@@ -324,10 +324,14 @@ let spatial_hints spec : Bottom_up.spatial =
     sp_point =
       (fun t ->
         (* relation arguments carry reified spatial terms, so accept a
-           point one [at(...)] constructor deep as well as bare pos/2-3 *)
+           point one [at(...)] or area-qualified [u/s/a(Space, ...)]
+           constructor deep as well as bare pos/2-3 *)
         let t =
           match t with
           | Term.App (f, [ p ]) when String.equal f Names.at -> p
+          | Term.App (f, [ _; p ])
+            when List.mem f Names.[ uniform; sampled; averaged ] ->
+              p
           | _ -> t
         in
         match Gfact.pos_of_term t with

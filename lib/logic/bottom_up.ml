@@ -7,13 +7,55 @@ end)
 
 module Sx = Gdp_space.Spatial_index
 
+(* A path addresses a subterm of an atom: an argument index, then
+   sub-argument indexes down through compound terms. *)
+type path = int list
+
+let rec subterm_at t = function
+  | [] -> Some t
+  | i :: rest -> (
+      match t with
+      | Term.App (_, args) -> (
+          match List.nth_opt args i with
+          | Some a -> subterm_at a rest
+          | None -> None)
+      | _ -> None)
+
+(* The paths of the maximal ground subterms of [atom]'s arguments, left to
+   right: a ground argument is one path, a compound argument that is not
+   ground is searched the same way one level down. [bound] says which
+   variables count as ground (none, for a term already instantiated by
+   the substitution). This is the one definition of "the bound part of a
+   literal" that the join planner, the rule evaluator's hash probes and
+   the answer-side {!probe} share: the compiler reifies every user atom
+   as [holds(M, Pred, Values, Objects, Space, Time)], so a join variable
+   usually sits inside the [Objects] list, never at an argument of its
+   own, and only a path reaches it. *)
+let ground_paths ?(bound = fun _ -> false) atom =
+  let rec ground = function
+    | Term.Var v -> bound v
+    | Term.App (_, args) -> List.for_all ground args
+    | _ -> true
+  in
+  let rec paths rev_path = function
+    | Term.App (_, args) ->
+        List.concat
+          (List.mapi
+             (fun i a ->
+               let rev_path = i :: rev_path in
+               if ground a then [ List.rev rev_path ] else paths rev_path a)
+             args)
+    | _ -> []
+  in
+  paths [] atom
+
 (* A materialised relation: a hash set of hash-consed ground facts (O(1)
    expected membership, physical-equality fast paths on the stored
    terms), the facts in insertion order for deterministic scans, and
-   lazily built argument-position indexes for join probes. An index maps
-   the tuple of subterms at a set of argument positions to the facts
-   carrying exactly those subterms there; [eval_rule] probes the index of
-   whichever positions the in-flowing substitution has made ground. *)
+   lazily built path indexes for join probes. An index maps the tuple of
+   subterms at a list of paths to the facts carrying exactly those
+   subterms there; [eval_rule] probes the index of whichever paths the
+   in-flowing substitution has made ground. *)
 module Relation = struct
   (* A lazily built spatial index over one argument position: facts whose
      argument there carries an extractable point live in the structure
@@ -30,8 +72,8 @@ module Relation = struct
     facts : unit Term_tbl.t;
     mutable arr : Term.t array; (* slots [0, n) valid, insertion order *)
     mutable n : int;
-    indexes : (int list * Term.t list Term_tbl.t) list Atomic.t;
-        (* bound argument positions (ascending) -> probe table *)
+    indexes : (path list * Term.t list Term_tbl.t) list Atomic.t;
+        (* ground paths of the probing pattern -> probe table *)
     spatials : (int * spat) list Atomic.t;
         (* point-carrying argument position -> spatial index *)
     lock : Mutex.t;
@@ -65,12 +107,19 @@ module Relation = struct
 
   let elements r = Array.to_list (Array.sub r.arr 0 r.n)
 
-  let args_of = function Term.App (_, args) -> args | _ -> []
-
-  (* The probe key packs the subterms at [positions] into one compound so
-     {!Term.hash}/{!Term.equal} do all the work. *)
-  let key_at positions args =
-    Term.App ("$key", List.map (fun p -> List.nth args p) positions)
+  (* The probe key packs the subterms at [paths] into one compound so
+     {!Term.hash}/{!Term.equal} do all the work. [None] when [t] has no
+     subterm at one of the paths: such a fact cannot unify with a
+     pattern that has, so the index leaves it out. *)
+  let key_at paths t =
+    let rec subs acc = function
+      | [] -> Some (Term.App ("$key", List.rev acc))
+      | p :: rest -> (
+          match subterm_at t p with
+          | Some s -> subs (s :: acc) rest
+          | None -> None)
+    in
+    subs [] paths
 
   let index_insert idx k fact =
     Term_tbl.replace idx k
@@ -80,20 +129,22 @@ module Relation = struct
      reads the (atomic, so release-published) index list, and a miss
      retries inside the lock so concurrent workers build each index
      exactly once. Sequentially the lock is always uncontended. *)
-  let index r positions =
-    match List.assoc_opt positions (Atomic.get r.indexes) with
+  let index r paths =
+    match List.assoc_opt paths (Atomic.get r.indexes) with
     | Some idx -> idx
     | None ->
         Mutex.protect r.lock (fun () ->
-            match List.assoc_opt positions (Atomic.get r.indexes) with
+            match List.assoc_opt paths (Atomic.get r.indexes) with
             | Some idx -> idx
             | None ->
                 let idx = Term_tbl.create (max 64 r.n) in
                 iter
                   (fun fact ->
-                    index_insert idx (key_at positions (args_of fact)) fact)
+                    match key_at paths fact with
+                    | Some k -> index_insert idx k fact
+                    | None -> ())
                   r;
-                Atomic.set r.indexes ((positions, idx) :: Atomic.get r.indexes);
+                Atomic.set r.indexes ((paths, idx) :: Atomic.get r.indexes);
                 idx)
 
   let arg_at apos t =
@@ -160,8 +211,10 @@ module Relation = struct
       r.arr.(r.n) <- t;
       r.n <- r.n + 1;
       List.iter
-        (fun (positions, idx) ->
-          index_insert idx (key_at positions (args_of t)) t)
+        (fun (paths, idx) ->
+          match key_at paths t with
+          | Some k -> index_insert idx k t
+          | None -> ())
         (Atomic.get r.indexes);
       List.iter (fun (apos, sp) -> spat_insert apos sp t) (Atomic.get r.spatials);
       true
@@ -215,14 +268,16 @@ module Relation = struct
       done;
       r.n <- !j;
       List.iter
-        (fun (positions, idx) ->
-          let k = key_at positions (args_of t) in
-          match Term_tbl.find_opt idx k with
+        (fun (paths, idx) ->
+          match key_at paths t with
           | None -> ()
-          | Some bucket -> (
-              match List.filter (fun f -> not (Term.equal f t)) bucket with
-              | [] -> Term_tbl.remove idx k
-              | bucket -> Term_tbl.replace idx k bucket))
+          | Some k -> (
+              match Term_tbl.find_opt idx k with
+              | None -> ()
+              | Some bucket -> (
+                  match List.filter (fun f -> not (Term.equal f t)) bucket with
+                  | [] -> Term_tbl.remove idx k
+                  | bucket -> Term_tbl.replace idx k bucket)))
         (Atomic.get r.indexes);
       List.iter
         (fun (apos, sp) ->
@@ -236,13 +291,15 @@ module Relation = struct
       true
     end
 
-  (* Facts whose arguments at [positions] equal the corresponding (ground)
-     arguments of [args] — a superset check is not needed: unification
-     of a ground subterm succeeds only on structural equality, so the
-     bucket holds exactly the unification candidates for those positions. *)
-  let probe r positions args =
-    Option.value ~default:[]
-      (Term_tbl.find_opt (index r positions) (key_at positions args))
+  (* Facts whose subterms at [paths] equal those of [pattern], where
+     [paths] are ground in [pattern] (see {!ground_paths}). Unifying a
+     ground subterm succeeds only on structural equality, and a fact
+     unifying with [pattern] has its shape along every path, so the
+     bucket holds every unification candidate. *)
+  let probe r paths pattern =
+    match key_at paths pattern with
+    | None -> []
+    | Some k -> Option.value ~default:[] (Term_tbl.find_opt (index r paths) k)
 end
 
 module Iset = Set.Make (Int)
@@ -691,15 +748,21 @@ let guard_ready bound = function
   | Never -> true
   | Pos _ | SPos _ -> false
 
-(* How many arguments of [atom] the bindings in [bound] make ground —
-   the number of index positions a probe on this literal could use. *)
-let bound_arg_count bound atom =
-  match atom with
-  | Term.App (_, args) ->
-      List.fold_left
-        (fun n arg -> if Iset.subset (vset arg) bound then n + 1 else n)
-        0 args
-  | _ -> 0
+(* How much of [atom] the bindings in [bound] make ground, measured the
+   way a probe on this literal keys: the leaves (constants and bound
+   variables) under its ground paths. Binding one more of its variables
+   always raises the count, however deep the variable sits. *)
+let bound_leaves bound atom =
+  let rec leaves = function
+    | Term.App (_, (_ :: _ as args)) ->
+        List.fold_left (fun n a -> n + leaves a) 0 args
+    | _ -> 1
+  in
+  List.fold_left
+    (fun n p ->
+      match subterm_at atom p with Some s -> n + leaves s | None -> n)
+    0
+    (ground_paths ~bound:(fun v -> Iset.mem v.Term.id bound) atom)
 
 let remove_first x l =
   let rec go acc = function
@@ -743,7 +806,7 @@ let order_body ~delta_at body =
             (fun best lit ->
               match lit with
               | Pos (_, _, atom) -> (
-                  let c = bound_arg_count bound atom in
+                  let c = bound_leaves bound atom in
                   match best with
                   | Some (bc, _) when bc >= c -> best
                   | _ -> Some (c, lit))
@@ -789,17 +852,19 @@ let num_const = function
 
 let annotate_spatial sp plan =
   (* argument positions of [atom] holding a fresh variable, bare or
-     one constructor deep (the reified [at(P)] shape) *)
+     one constructor deep: the reified [at(P)] shape, or the
+     area-qualified [u/s/a(Space, P)] one with a ground first argument *)
   let var_candidates bound atom =
+    let fresh (v : Term.var) = not (Iset.mem v.Term.id bound) in
     match atom with
     | Term.App (_, args) ->
         List.mapi
           (fun j a ->
             match a with
-            | Term.Var v when not (Iset.mem v.Term.id bound) ->
+            | Term.Var v | Term.App (_, [ Term.Var v ]) when fresh v ->
                 Some (j, v.Term.id)
-            | Term.App (_, [ Term.Var v ]) when not (Iset.mem v.Term.id bound)
-              ->
+            | Term.App (_, [ q; Term.Var v ])
+              when fresh v && Iset.subset (vset q) bound ->
                 Some (j, v.Term.id)
             | _ -> None)
           args
@@ -916,6 +981,7 @@ type stats = {
   bu_strata : int;
   bu_facts : int;
   bu_index_probes : int;
+  bu_index_candidates : int;
   bu_full_scans : int;
   bu_membership_tests : int;
   bu_spatial_probes : int;
@@ -940,6 +1006,7 @@ type counters = {
   mutable c_passes : int;
   mutable c_firings : int;
   mutable c_probes : int;
+  mutable c_candidates : int;  (* facts the hash probes returned *)
   mutable c_scans : int;
   mutable c_members : int;
   mutable c_sprobes : int;  (* spatial index probes *)
@@ -955,6 +1022,7 @@ let new_counters () =
     c_passes = 0;
     c_firings = 0;
     c_probes = 0;
+    c_candidates = 0;
     c_scans = 0;
     c_members = 0;
     c_sprobes = 0;
@@ -972,6 +1040,7 @@ let fold_counters ~into (w : counters) =
   into.c_passes <- into.c_passes + w.c_passes;
   into.c_firings <- into.c_firings + w.c_firings;
   into.c_probes <- into.c_probes + w.c_probes;
+  into.c_candidates <- into.c_candidates + w.c_candidates;
   into.c_scans <- into.c_scans + w.c_scans;
   into.c_members <- into.c_members + w.c_members;
   into.c_sprobes <- into.c_sprobes + w.c_sprobes;
@@ -1174,22 +1243,13 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
     | Some g -> Option.value ~default:[] (Rel_map.find_opt rel !g)
   in
   (* hash access path for a partially ground atom: probe the index over
-     its ground argument positions, scan when nothing is bound *)
+     its ground paths, scan when nothing is bound *)
   let hash_candidates r g =
     if not fp.config.indexing then `Scan
     else
-      match g with
-      | Term.App (_, args) -> (
-          let rev_positions, _ =
-            List.fold_left
-              (fun (acc, i) arg ->
-                ((if Term.is_ground arg then i :: acc else acc), i + 1))
-              ([], 0) args
-          in
-          match List.rev rev_positions with
-          | [] -> `Scan
-          | positions -> `Probe (Relation.probe r positions args))
-      | _ -> `Scan
+      match ground_paths g with
+      | [] -> `Scan
+      | paths -> `Probe (Relation.probe r paths g)
   in
   (* an annotated join's R-tree probe: the indexed argument and the
      query box covering everything the downstream spatial guard can
@@ -1265,6 +1325,7 @@ let eval_rule fp ?ghosts ?(subst0 = Subst.empty) ?ctr ?(capture = false)
                       Relation.iter each r
                   | `Probe l ->
                       ctr.c_probes <- ctr.c_probes + 1;
+                      ctr.c_candidates <- ctr.c_candidates + List.length l;
                       List.iter each l));
               if gfacts <> [] then List.iter each gfacts
             end)
@@ -1736,6 +1797,7 @@ let emit_gauges fp =
     set "bu.passes" fp.ctr.c_passes;
     set "bu.firings" fp.ctr.c_firings;
     set "bu.index_probes" fp.ctr.c_probes;
+    set "bu.index_candidates" fp.ctr.c_candidates;
     set "bu.full_scans" fp.ctr.c_scans;
     if fp.ctr.c_sprobes > 0 || fp.ctr.c_sscans > 0 then begin
       set "bu.spatial.probes" fp.ctr.c_sprobes;
@@ -1875,10 +1937,10 @@ let facts_matching fp goal =
           |> List.sort Term.compare)
 
 (* Candidates for a goal by the cheapest access path: membership for a
-   ground goal, an index probe on the goal's ground argument positions
-   for a half-bound goal, the whole relation otherwise. The result is a
+   ground goal, an index probe on the goal's ground paths for a
+   half-bound goal, the whole relation otherwise. The result is a
    superset of the facts unifiable with [goal] (exactly the bucket of
-   facts agreeing with the goal's ground arguments) and is unsorted. *)
+   facts agreeing with the goal's ground subterms) and is unsorted. *)
 let probe fp goal =
   match Term.functor_of goal with
   | None -> []
@@ -1886,18 +1948,9 @@ let probe fp goal =
       let candidates (r : Relation.t) =
         if Term.is_ground goal then if Relation.mem r goal then [ goal ] else []
         else
-          match goal with
-          | Term.App (_, args) -> (
-              let rev_positions, _ =
-                List.fold_left
-                  (fun (acc, i) arg ->
-                    ((if Term.is_ground arg then i :: acc else acc), i + 1))
-                  ([], 0) args
-              in
-              match List.rev rev_positions with
-              | [] -> Relation.elements r
-              | positions -> Relation.probe r positions args)
-          | _ -> Relation.elements r
+          match ground_paths goal with
+          | [] -> Relation.elements r
+          | paths -> Relation.probe r paths goal
       in
       (match rel_of_ground fp goal with
       | Some rel -> (
@@ -1940,6 +1993,7 @@ let stats fp =
     bu_strata = fp.n_strata;
     bu_facts = fp.ctr.c_facts;
     bu_index_probes = fp.ctr.c_probes;
+    bu_index_candidates = fp.ctr.c_candidates;
     bu_full_scans = fp.ctr.c_scans;
     bu_membership_tests = fp.ctr.c_members;
     bu_spatial_probes = fp.ctr.c_sprobes;
@@ -1973,10 +2027,11 @@ let hcons_hit_rate s =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>passes: %d  firings: %d  strata: %d  facts: %d@,\
-     index probes: %d  full scans: %d  membership tests: %d@,\
+     index probes: %d (%d candidates)  full scans: %d  membership tests: \
+     %d@,\
      hcons: %d hits / %d misses (%.1f%% hit rate)@,"
     s.bu_passes s.bu_firings s.bu_strata s.bu_facts s.bu_index_probes
-    s.bu_full_scans s.bu_membership_tests s.bu_hcons_hits s.bu_hcons_misses
+    s.bu_index_candidates s.bu_full_scans s.bu_membership_tests s.bu_hcons_hits s.bu_hcons_misses
     (100.0 *. hcons_hit_rate s);
   if s.bu_spatial_probes > 0 || s.bu_spatial_scans > 0 then
     Format.fprintf ppf "spatial: %d probes, %d scans@," s.bu_spatial_probes
@@ -2450,7 +2505,6 @@ let proof fp t =
 type snap_relation = {
   sr_rel : Rel.t;
   sr_facts : Term.t array;  (* insertion order — scans stay deterministic *)
-  sr_indexes : int list list;  (* argument-position indexes built lazily *)
 }
 
 type snapshot_state = {
@@ -2469,11 +2523,7 @@ let export fp =
   let sn_rels =
     Hashtbl.fold
       (fun rel (r : Relation.t) acc ->
-        {
-          sr_rel = rel;
-          sr_facts = Array.sub r.Relation.arr 0 r.Relation.n;
-          sr_indexes = List.map fst (Atomic.get r.Relation.indexes);
-        }
+        { sr_rel = rel; sr_facts = Array.sub r.Relation.arr 0 r.Relation.n }
         :: acc)
       fp.rels []
     |> List.sort (fun a b -> Rel.compare a.sr_rel b.sr_rel)
@@ -2579,15 +2629,8 @@ let import ?(config = Config.default) ?spatial ?(refine = fun _ -> None)
   fp.incr.i_rederived <- i.i_rederived;
   fp.incr.i_visited <- i.i_visited;
   fp.incr.i_recomputed <- i.i_recomputed;
-  (* the indexes the saved fixpoint had built lazily are rebuilt now, so
-     warm-start query latency is uniform from the first probe on *)
-  List.iter
-    (fun sr ->
-      let r = get fp sr.sr_rel in
-      List.iter
-        (fun positions -> Stdlib.ignore (Relation.index r positions))
-        sr.sr_indexes)
-    state.sn_rels;
+  (* hash indexes build on their first probe, as in a cold run: a warm
+     query probes few of the ones the saved fixpoint had built *)
   prebuild_spatial fp;
   emit_gauges fp;
   fp

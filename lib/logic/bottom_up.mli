@@ -12,10 +12,14 @@
     (O(1) expected membership; see {!Term.hash} and {!Term.hcons}), so a
     body literal only ever joins against its own predicate's facts.
     Joins are index-driven: each rule body is reordered by a greedy
-    sideways-information-passing plan (most bound arguments first, delta
+    sideways-information-passing plan (most bound subterms first, delta
     literal leading under semi-naive evaluation), and every positive
-    literal with at least one ground argument probes a lazily built hash
-    index on those argument positions instead of scanning the relation.
+    literal with at least one ground subterm probes a lazily built hash
+    index on those subterms' {e paths} (an argument index, then
+    sub-argument indexes down through compound terms) instead of
+    scanning the relation. Paths let a join key reach inside the
+    compiler's reified [holds/6] atoms, whose join variables sit in the
+    object list rather than at an argument of their own.
     {!Config.t}'s [indexing = false] disables both the plans and the
     probes — the scan reference the [engine-bu] benchmarks measure
     against.
@@ -63,9 +67,10 @@ type spatial = {
   sp_region_box : string -> Gdp_space.Spatial_index.box option;
       (** bounding box of a named region, for [region_mem] probes *)
   sp_point : Term.t -> (float * float) option;
-      (** planar coordinates of a point-carrying term ([pos/2-3], bare
-          or one reification constructor deep) — both the index key
-          extractor and the probe-anchor reader *)
+      (** planar coordinates of a point-carrying term ([pos/2-3], bare,
+          one reification constructor deep ([at(P)]) or under an area
+          qualifier ([u/s/a(Space, P)])) — both the index key extractor
+          and the probe-anchor reader *)
   sp_boxable : bool;
       (** whether a ±eps coordinate box contains the metric eps-ball
           (cartesian-like coordinates; false for geographic/haversine,
@@ -197,6 +202,9 @@ type stats = {
   bu_facts : int;  (** facts stored, initial and derived *)
   bu_index_probes : int;
       (** positive-literal matches answered by a hash-index probe *)
+  bu_index_candidates : int;
+      (** facts those probes returned: a ratio to [bu_index_probes] near
+          the relation's size means the index keys on nothing selective *)
   bu_full_scans : int;
       (** positive-literal matches that scanned the whole relation *)
   bu_membership_tests : int;
@@ -268,7 +276,7 @@ val facts_matching : fixpoint -> Term.t -> Term.t list
 val probe : fixpoint -> Term.t -> Term.t list
 (** Candidate facts for a possibly non-ground goal, narrowed by the
     cheapest access path: a membership test when the goal is ground, a
-    hash-index probe on the goal's ground argument positions when it is
+    hash-index probe on the goal's ground subterms when it is
     half-bound, and the stored relation(s) otherwise. Always a superset
     of the facts unifiable with the goal — callers still unify/filter —
     and unsorted (unlike {!facts_matching}). [Gdp_core.Query]'s
@@ -413,11 +421,11 @@ val proof : fixpoint -> Term.t -> Explain.proof option
     compile-once/query-many path {!Gdp_core.Query} and the [gdprs
     compile] subcommand build on (see {!Snapshot} for the on-disk
     container). Only data persists: per-relation facts in insertion
-    order, which lazy argument indexes had been built, the asserted
-    base, recorded witnesses, and every cumulative counter. Join plans,
-    stratification and all closures are rebuilt from the database at
-    import time, and spatial indexes are rebuilt eagerly, exactly as
-    {!run} builds them. *)
+    order, the asserted base, recorded witnesses, and every cumulative
+    counter. Join plans, stratification and all closures are rebuilt
+    from the database at import time, spatial indexes are rebuilt
+    eagerly, exactly as {!run} builds them, and hash indexes build on
+    their first probe, as in a cold run. *)
 
 type snapshot_state
 (** The exported state of one fixpoint. Contains only marshallable data
@@ -446,8 +454,8 @@ val import :
     planned exactly as {!run} would (same configuration, same meaning),
     then the saved facts are bulk-inserted — re-interned through
     {!Term.hcons} — the saved counters, per-stratum statistics,
-    maintenance counters and witnesses are restored, the recorded lazy
-    hash indexes and the planned spatial indexes are rebuilt eagerly,
+    maintenance counters and witnesses are restored, the planned
+    spatial indexes are rebuilt eagerly,
     and the usual final counter gauges are emitted when the tracer is
     live, under one ["snap.import"] span whose children are
     ["bu.prepare"], ["bu.edb_load"] and the spatial index builds. The

@@ -6,7 +6,7 @@ type t = {
   state : Bottom_up.snapshot_state;
 }
 
-let magic = "GDPXSNAP1\n"
+let magic = "GDPXSNAP2\n"
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
@@ -39,10 +39,17 @@ let load ?(tracer = Gdp_obs.Tracer.disabled) ~path () =
     | exception Sys_error msg -> corrupt "cannot read snapshot: %s" msg
   in
   let header = String.length magic + 16 in
+  let family = String.sub magic 0 (String.length magic - 2) in
   if
     String.length raw < header
     || not (String.equal (String.sub raw 0 (String.length magic)) magic)
-  then corrupt "%s is not a gdprs snapshot (bad magic)" path;
+  then
+    if String.starts_with ~prefix:family raw then
+      corrupt "%s is a snapshot in another format (%s, this build reads %s); \
+               compile it again" path
+        (String.sub raw 0 (String.length magic - 1))
+        (String.trim magic)
+    else corrupt "%s is not a gdprs snapshot (bad magic)" path;
   let digest = String.sub raw (String.length magic) 16 in
   let payload = String.sub raw header (String.length raw - header) in
   if not (String.equal (Digest.string payload) digest) then

@@ -8,8 +8,11 @@
     update log there — this module never interprets it, which keeps the
     logic layer free of any dependency on the GDP fact language).
 
-    File format: the magic string ["GDPXSNAP1\n"], a 16-byte MD5 digest
-    of the payload, then the payload ([Marshal] of {!t}). {!load}
+    File format: the magic string ["GDPXSNAP2\n"], a 16-byte MD5 digest
+    of the payload, then the payload ([Marshal] of {!t}). The digit is
+    the layout version, bumped whenever {!Bottom_up.snapshot_state}
+    changes shape: a file of another version is rejected by its magic
+    before [Marshal] could misread it. {!load}
     verifies magic and digest before unmarshalling, so a truncated,
     corrupted or non-snapshot file raises {!Corrupt} with a clean
     message instead of crashing inside [Marshal]. Key checking is the

@@ -307,14 +307,114 @@ let prop_differential_stratified =
     (fun src ->
       agree ~constants:[ "a"; "b"; "c"; "d" ] (engine_db_of src))
 
-(* [Bottom_up.probe] narrows candidates through the argument indexes; on
+(* Random programs over reified-shape atoms, the form the GDP compiler
+   gives every user predicate: join variables sit inside lists and
+   constructors, so hash probes key on argument paths rather than whole
+   arguments. The base relation h/3 mixes facts of the rules' shape
+   [h(p, [X, Y], s(Z))] with facts that lack it — a shorter list,
+   another functor, an atom where a compound is expected — which a path
+   index must leave out of its buckets without losing a match. The
+   closure t/2 is right-recursive, so SLD with the ancestor check stays
+   complete on ground probes. *)
+let gen_nested_fact =
+  let open QCheck.Gen in
+  let const = oneofl [ "a"; "b"; "c" ] in
+  frequency
+    [
+      (6, map3 (Printf.sprintf "h(p, [%s, %s], s(%s))") const const const);
+      (1, map2 (Printf.sprintf "h(p, [%s], s(%s))") const const);
+      (1, map3 (Printf.sprintf "h(p, f(%s, %s), s(%s))") const const const);
+      (1, map2 (Printf.sprintf "h(p, %s, %s)") const const);
+      (1, map3 (Printf.sprintf "h(q, [%s, %s], %s)") const const const);
+    ]
+
+let gen_nested_program =
+  let open QCheck.Gen in
+  let* n_facts = int_range 2 10 in
+  let* facts = list_size (return n_facts) gen_nested_fact in
+  let closure =
+    [
+      "t(X, Y) :- h(p, [X, Y], _).";
+      "t(X, Y) :- h(p, [X, Z], _), t(Z, Y).";
+    ]
+  in
+  let* joins =
+    list_size (int_range 1 3)
+      (oneofl
+         [
+           "m(X, Y) :- h(p, [X, Z], s(Y)), h(p, [Z, Y], s(_)).";
+           "m(X, Y) :- t(X, Z), h(p, [Z, Y], s(Z)).";
+           "m(X, Y) :- h(p, [X, Y], s(X)).";
+           "m(X, Y) :- h(p, [X, b], s(Y)).";
+           "m(X, Y) :- h(q, [X, Y], Y).";
+           "m(X, Y) :- h(p, f(X, Y), s(X)).";
+           "m(X, Y) :- h(p, [X], s(Y)).";
+         ])
+  in
+  let* neg =
+    oneofl [ []; [ "n(X) :- h(p, [X, _], _), \\+ t(X, X)." ] ]
+  in
+  return
+    (String.concat "\n"
+       (List.sort_uniq compare (List.map (fun f -> f ^ ".") facts)
+       @ closure @ joins @ neg))
+
+let prop_differential_nested =
+  QCheck.Test.make
+    ~name:
+      "path-indexed, scan-baseline and SLD agree on random programs over \
+       nested argument shapes"
+    ~count:200
+    (QCheck.make ~print:(fun s -> s) gen_nested_program)
+    (fun src -> agree (engine_db_of src))
+
+(* The incremental leg: assert and retract h/3 facts of every shape on a
+   live fixpoint — so DRed removes facts from the path indexes the
+   opening run built — and compare with a from-scratch run after each
+   step, for the indexed engine and the scan baseline. *)
+let prop_nested_incremental =
+  let gen =
+    let open QCheck.Gen in
+    pair gen_nested_program
+      (list_size (int_range 1 12) (pair bool gen_nested_fact))
+  in
+  let print (src, script) =
+    src ^ "\n-- script --\n"
+    ^ String.concat "\n"
+        (List.map
+           (fun (a, f) -> (if a then "assert " else "retract ") ^ f)
+           script)
+  in
+  QCheck.Test.make
+    ~name:"path indexes stay coherent through assert/retract scripts"
+    ~count:150 (QCheck.make ~print gen) (fun (src, script) ->
+      List.for_all
+        (fun indexing ->
+          let config = { Bottom_up.Config.default with indexing } in
+          let db = engine_db_of src in
+          let fp = Bottom_up.run ~config db in
+          List.for_all
+            (fun (asserted, f) ->
+              let t = Reader.term f in
+              (if asserted then begin
+                 if Bottom_up.assert_fact fp t then Database.fact db t
+               end
+               else if Bottom_up.retract_fact fp t then
+                 Stdlib.ignore (Database.retract_fact db t));
+              List.equal Term.equal (Bottom_up.facts fp)
+                (Bottom_up.facts (Bottom_up.run ~config db)))
+            script)
+        [ true; false ])
+
+(* [Bottom_up.probe] narrows candidates through the path indexes; on
    any goal shape the unifiable subset must coincide with what filtering
    the goal's whole (sorted) relation yields. *)
 let test_probe_consistency () =
   let db =
     db_of
       "e(a, b). e(b, c). e(c, d). e(a, d).\n\
-       p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y)."
+       p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y).\n\
+       p(a, [a, b]). p(b, [c, b]). p(a, [b]). p(a, [a, b, c]). p(a, f(a, b))."
   in
   let fp = Bottom_up.run db in
   let unifiable goal facts =
@@ -334,6 +434,10 @@ let test_probe_consistency () =
       "p(a, d)" (* ground: membership *);
       "p(X, Y)" (* open: falls back to the full relation *);
       "p(X, X)" (* repeated variable: superset is filtered by unification *);
+      "p(a, [X, b])" (* nested key: paths [0] and [1; 1] *);
+      "p(X, [c, Y])" (* nested keys only: [1; 0] and the tail [1; 1; 1] *);
+      "p(X, [Y])" (* the list tail alone is ground *);
+      "p(a, f(X, b))" (* another functor at the same paths *);
       "q(X)" (* unknown predicate: empty either way *);
     ]
 
@@ -352,4 +456,6 @@ let tests =
       test_probe_consistency;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_differential_stratified;
+    QCheck_alcotest.to_alcotest prop_differential_nested;
+    QCheck_alcotest.to_alcotest prop_nested_incremental;
   ]

@@ -248,6 +248,14 @@ let test_scan_vs_probe () =
   in
   Alcotest.(check int) "scan baseline never probes" 0
     scanned.Bottom_up.bu_index_probes;
+  Alcotest.(check int) "scan baseline has no probe candidates" 0
+    scanned.Bottom_up.bu_index_candidates;
+  (* the largest relation, r, holds 3 facts: no bucket can be bigger *)
+  Alcotest.(check bool) "probes return candidates, at most a relation each"
+    true
+    (indexed.Bottom_up.bu_index_candidates > 0
+    && indexed.Bottom_up.bu_index_candidates
+       <= 3 * indexed.Bottom_up.bu_index_probes);
   Alcotest.(check bool) "indexed run replaces scans with probes" true
     (indexed.Bottom_up.bu_index_probes > 0
     && indexed.Bottom_up.bu_full_scans < scanned.Bottom_up.bu_full_scans)

@@ -130,8 +130,9 @@ let test_box_basics () =
    lattice, one random region, a uniform grid space pair, and a fixed
    rule set exercising every whitelisted builtin — region_mem and
    bounded pt_dist as probe-compiled join guards (over base and derived
-   relations), region_reps and res_subcells as native enumerators, and
-   negation over a spatial stratum. Every evaluation configuration must
+   relations, and over area-qualified [u(grid, P)] positions),
+   region_reps and res_subcells as native enumerators, and negation
+   over a spatial stratum. Every evaluation configuration must
    derive the same model; top-down SLDNF (the rules are non-recursive,
    so SLD is complete) is the specification both for the derived facts
    and for a full Herbrand sweep over the site names. *)
@@ -197,6 +198,15 @@ let arb_scenario = QCheck.make ~print:print_scenario gen_scenario
 let site_fact name x y =
   T.app "site" [ T.atom name; Gfact.pos_term (Point.make x y) ]
 
+(* The same point under an area qualifier, the shape the compiler gives
+   a fact stated [@u[grid]P]: the probe variable sits one level below a
+   ground space name. *)
+let cell_fact name x y =
+  let pos = Gfact.pos_term (Point.make x y) in
+  T.app "cell" [ T.atom name; T.app "u" [ T.atom "grid"; pos ] ]
+
+let site_facts name x y = [ site_fact name x y; cell_fact name x y ]
+
 (* The spec carries region/space declarations only (the hooks read it);
    the database is a raw engine base with the GDP builtins installed so
    the top-down leg evaluates the same guards natively. *)
@@ -207,7 +217,9 @@ let scenario_db sc =
   Spec.declare_space spec (Resolution.uniform ~name:"coarse" 4.0);
   let db = Gdp_logic.Engine.create () in
   Gdp_builtins.install spec db;
-  List.iter (fun (n, x, y) -> Gdp_logic.Database.fact db (site_fact n x y)) sc.sc_sites;
+  List.iter
+    (fun (n, x, y) -> List.iter (Gdp_logic.Database.fact db) (site_facts n x y))
+    sc.sc_sites;
   Gdp_logic.Engine.consult db
     (Printf.sprintf
        {|
@@ -218,8 +230,10 @@ let scenario_db sc =
        rep(P) :- region_reps(grid, zone, P).
        cover(A) :- site(A, P), rep(Q), pt_dist(P, Q, D), D < 2.
        cells(A, Ps) :- site(A, P), res_subcells(grid, coarse, P, Ps).
+       uinz(A) :- cell(A, u(grid, P)), region_mem(zone, P).
+       unear(A, B) :- cell(A, u(grid, P)), cell(B, u(grid, Q)), pt_dist(P, Q, D), D < %d.
        |}
-       sc.sc_eps);
+       sc.sc_eps sc.sc_eps);
   (spec, db)
 
 let run_spatial ?(jobs = 1) ?(indexing = true) spec db =
@@ -249,7 +263,7 @@ let herbrand_agrees sc db fp =
     (Bu.facts fp)
   && List.for_all
        (fun p -> List.for_all (fun a -> probe (T.app p [ T.atom a ])) names)
-       [ "inz"; "outz"; "cover" ]
+       [ "inz"; "outz"; "cover"; "uinz" ]
   && List.for_all
        (fun p ->
          List.for_all
@@ -258,7 +272,7 @@ let herbrand_agrees sc db fp =
                (fun b -> probe (T.app p [ T.atom a; T.atom b ]))
                names)
            names)
-       [ "near"; "linkz" ]
+       [ "near"; "linkz"; "unear" ]
 
 let prop_spatial_differential =
   QCheck.Test.make
@@ -297,6 +311,42 @@ let prop_spatial_jobs =
           QCheck.Test.fail_reportf "jobs=%d model differs from sequential" jobs)
         [ 2; 4 ])
 
+(* The area-qualified joins alone: both compile to R-tree probes, so the
+   probe count is one per [uinz] firing plus one per [unear] anchor. *)
+let test_area_qualified_probes () =
+  let spec = Spec.create () in
+  Spec.declare_region spec "zone"
+    (Region.rect ~min_x:0.0 ~min_y:0.0 ~max_x:4.0 ~max_y:4.0);
+  let db = Gdp_logic.Engine.create () in
+  Gdp_builtins.install spec db;
+  List.iter
+    (fun (n, x, y) -> Gdp_logic.Database.fact db (cell_fact n x y))
+    [ ("s1", 1.0, 1.0); ("s2", 2.0, 1.5); ("s3", 7.0, 7.0) ];
+  Gdp_logic.Engine.consult db
+    {|
+    uinz(A) :- cell(A, u(grid, P)), region_mem(zone, P).
+    unear(A, B) :- cell(A, u(grid, P)), cell(B, u(grid, Q)), pt_dist(P, Q, D), D < 2.
+    |};
+  (* the R-tree keys the point under the qualifier, not a straggler list *)
+  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
+    "point under u(grid, _)" (Some (2.0, 1.5))
+    ((Compile.spatial_hints spec).Bu.sp_point
+       (T.app "u" [ T.atom "grid"; Gfact.pos_term (Point.make 2.0 1.5) ]));
+  let fp = run_spatial spec db in
+  let st = Bu.stats fp in
+  Alcotest.(check int) "spatial probes" 4 st.Bu.bu_spatial_probes;
+  Alcotest.(check int) "spatial scans" 0 st.Bu.bu_spatial_scans;
+  Alcotest.(check (list string))
+    "model"
+    [ "uinz(s1)"; "uinz(s2)"; "unear(s1, s1)"; "unear(s1, s2)"; "unear(s2, s1)";
+      "unear(s2, s2)"; "unear(s3, s3)" ]
+    (List.filter_map
+       (fun t ->
+         match T.functor_of t with
+         | Some (("uinz" | "unear"), _) -> Some (T.to_string t)
+         | _ -> None)
+       (Bu.facts fp))
+
 (* Index coherence through incremental maintenance: apply the update
    script to live fixpoints (indexed and scan-baseline) and compare
    against a fresh recompute on the mutated base — insertions must land
@@ -310,12 +360,15 @@ let prop_spatial_incremental =
       let indexed = run_spatial spec db in
       let scan = run_spatial ~indexing:false spec db in
       let updates =
-        List.map
+        List.concat_map
           (function
-            | `Add (i, x, y) -> `Assert (site_fact (Printf.sprintf "u%d" i) x y)
+            | `Add (i, x, y) ->
+                List.map
+                  (fun t -> `Assert t)
+                  (site_facts (Printf.sprintf "u%d" i) x y)
             | `Del i ->
                 let n, x, y = List.nth sc.sc_sites i in
-                `Retract (site_fact n x y))
+                List.map (fun t -> `Retract t) (site_facts n x y))
           sc.sc_updates
       in
       Bu.apply indexed updates;
@@ -344,6 +397,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_bulk_valid;
     QCheck_alcotest.to_alcotest prop_insert_delete_roundtrip;
     QCheck_alcotest.to_alcotest prop_range_agrees;
+    Alcotest.test_case "area-qualified positions probe the R-tree" `Quick
+      test_area_qualified_probes;
     QCheck_alcotest.to_alcotest prop_spatial_differential;
     QCheck_alcotest.to_alcotest prop_spatial_jobs;
     QCheck_alcotest.to_alcotest prop_spatial_incremental;
