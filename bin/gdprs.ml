@@ -18,12 +18,17 @@
 open Cmdliner
 open Gdp_core
 
-let load path = Gdp_lang.Elaborate.load_file path
+let load ?tracer path = Gdp_lang.Elaborate.load_file ?tracer path
 
-let build_query result view models metas =
+(* With telemetry on, the run's one tracer exists before the file is
+   read, so parsing and elaboration are spans on it next to compile. *)
+let telemetry_tracer on =
+  if on then Gdp_obs.Tracer.create () else Gdp_obs.Tracer.disabled
+
+let build_query ?tracer result view models metas =
   let models = match models with [] -> None | l -> Some l in
   let metas = match metas with [] -> None | l -> Some l in
-  Gdp_lang.Elaborate.query result ?view ?models ?metas ()
+  Gdp_lang.Elaborate.query result ?view ?models ?metas ?tracer ()
 
 (* common options *)
 let file_arg =
@@ -147,9 +152,6 @@ let print_violation_proofs q n =
            Format.printf "why %a:@.%a@." Query.pp_violation v
              (Gdp_logic.Explain.pp ~pp_goal:Query.pp_reified_term) proof)
 
-let enable_telemetry result =
-  result.Gdp_lang.Elaborate.spec.Spec.telemetry <- true
-
 let set_jobs result jobs =
   result.Gdp_lang.Elaborate.spec.Spec.jobs <- jobs
 
@@ -182,11 +184,13 @@ let check_cmd =
   let run file view models metas materialize snapshot stats jobs
       explain_n trace_out =
     handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
+        let tracer = telemetry_tracer (stats || trace_out <> None) in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let materialize = materialize || snapshot <> None in
-        let q = with_materialize (build_query result view models metas) materialize in
+        let q =
+          with_materialize (build_query ~tracer result view models metas) materialize
+        in
         Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
         Printf.printf "meta view:  {%s}\n" (String.concat ", " (Query.meta_view q));
         load_snapshot q snapshot;
@@ -229,11 +233,11 @@ let compile_cmd =
   in
   let run file view models metas out stats jobs trace_out =
     handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
+        let tracer = telemetry_tracer (stats || trace_out <> None) in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let q =
-          Query.with_mode (build_query result view models metas)
+          Query.with_mode (build_query ~tracer result view models metas)
             Query.Materialized
         in
         Printf.printf "world view: {%s}\n" (String.concat ", " (Query.world_view q));
@@ -312,12 +316,12 @@ let update_cmd =
   let run file view models metas script materialize snapshot stats jobs
       explain_n trace_out =
     handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
+        let tracer = telemetry_tracer (stats || trace_out <> None) in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let materialize = materialize || snapshot <> None in
         let q =
-          with_materialize (build_query result view models metas) materialize
+          with_materialize (build_query ~tracer result view models metas) materialize
         in
         Printf.printf "world view: {%s}\n"
           (String.concat ", " (Query.world_view q));
@@ -394,14 +398,15 @@ let query_cmd =
   let run file view models metas pattern limit materialize magic snapshot
       stats jobs =
     handle_errors (fun () ->
-        let result = load file in
-        if stats then enable_telemetry result;
+        let tracer = telemetry_tracer stats in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
         let q =
-          with_engine (build_query result view models metas) ~materialize ~magic
+          with_engine (build_query ~tracer result view models metas)
+            ~materialize ~magic
         in
         load_snapshot q snapshot;
         let pat = Gdp_lang.Elaborate.fact_to_pattern (Gdp_lang.Parser.fact pattern) in
@@ -433,14 +438,14 @@ let ask_cmd =
   let run file view models metas goal magic snapshot stats jobs
       trace_out =
     handle_errors (fun () ->
-        let result = load file in
-        if stats || trace_out <> None then enable_telemetry result;
+        let tracer = telemetry_tracer (stats || trace_out <> None) in
+        let result = load ~tracer file in
         set_jobs result jobs;
         (* ask's only fixpoint-backed mode is magic, so --snapshot
            selects it; the loaded full model then answers the goal *)
         let magic = magic || snapshot <> None in
         let q =
-          with_engine (build_query result view models metas) ~materialize:false
+          with_engine (build_query ~tracer result view models metas) ~materialize:false
             ~magic
         in
         load_snapshot q snapshot;
@@ -483,12 +488,12 @@ let profile_cmd =
   in
   let run file view models metas goal materialize snapshot trace_out jobs =
     handle_errors (fun () ->
-        let result = load file in
-        enable_telemetry result;
+        let tracer = telemetry_tracer true in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let materialize = materialize || snapshot <> None in
         let q =
-          with_materialize (build_query result view models metas) materialize
+          with_materialize (build_query ~tracer result view models metas) materialize
         in
         load_snapshot q snapshot;
         if materialize then Stdlib.ignore (Query.materialization q);
@@ -617,14 +622,15 @@ let explain_cmd =
     handle_errors (fun () ->
         if dot && json then
           invalid_arg "--dot and --json are mutually exclusive";
-        let result = load file in
-        if stats then enable_telemetry result;
+        let tracer = telemetry_tracer stats in
+        let result = load ~tracer file in
         set_jobs result jobs;
         let materialize =
           materialize || (snapshot <> None && not magic)
         in
         let q =
-          with_engine (build_query result view models metas) ~materialize ~magic
+          with_engine (build_query ~tracer result view models metas)
+            ~materialize ~magic
         in
         load_snapshot q snapshot;
         let pat = Gdp_lang.Elaborate.fact_to_pattern (Gdp_lang.Parser.fact pattern) in
@@ -668,7 +674,7 @@ let info_cmd =
     handle_errors (fun () ->
         let result = load file in
         let spec = result.Gdp_lang.Elaborate.spec in
-        Printf.printf "objects:     %d\n" (List.length spec.Spec.objects);
+        Printf.printf "objects:     %d\n" (List.length (Spec.objects spec));
         Printf.printf "predicates:  %d declared\n" (List.length spec.Spec.signatures);
         Printf.printf "models:      %s\n" (String.concat ", " (Spec.model_names spec));
         List.iter

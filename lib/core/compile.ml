@@ -6,7 +6,7 @@ type t = {
   world_view : string list;
   meta_view : string list;
   needs_loop_check : bool;
-  clause_digest : string;
+  digest : string Lazy.t;
 }
 
 let rule_clause ~model (r : Spec.rule) =
@@ -58,7 +58,7 @@ let emit_generators spec db world_view =
     spec.Spec.signatures;
   List.iter
     (fun o -> Database.fact db (Term.app Names.obj_gen [ Term.atom o ]))
-    spec.Spec.objects;
+    (Spec.objects spec);
   List.iter
     (fun (r : Gdp_space.Resolution.t) ->
       Database.fact db
@@ -200,24 +200,25 @@ let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
       metas
   in
   List.iter (emit_model spec db ~propagate) models;
-  (* the clause digest is taken now — after the models, before the
+  (* the clause lists are captured now — after the models, before the
      update-log replay — so a snapshot saved from an incrementally
      updated session carries the same key a fresh compilation of the
      written specification computes: updates persist through the
      snapshot's own log, never through the key. The meta clauses
-     (asserted last) are folded in from [metas] directly. *)
-  let clause_digest =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun fa -> List.iter (digest_clause buf) (Database.all_clauses db fa))
-      (Database.predicates db);
-    List.iter
-      (fun (m : Spec.meta_model) ->
-        Buffer.add_string buf m.Spec.meta_name;
-        Buffer.add_char buf '\n';
-        List.iter (digest_clause buf) m.Spec.meta_clauses)
-      metas;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+     (asserted last) are folded in from [metas] directly. Only snapshot
+     keys read the digest, so it is rendered on first demand. *)
+  let program = Database.freeze db in
+  let digest =
+    lazy
+      (let buf = Buffer.create 4096 in
+       List.iter (List.iter (digest_clause buf)) (program ());
+       List.iter
+         (fun (m : Spec.meta_model) ->
+           Buffer.add_string buf m.Spec.meta_name;
+           Buffer.add_char buf '\n';
+           List.iter (digest_clause buf) m.Spec.meta_clauses)
+         metas;
+       Digest.to_hex (Digest.string (Buffer.contents buf)))
   in
   (* replay the specification's update log so a fresh compilation agrees
      with a database maintained incrementally through Query.update *)
@@ -241,7 +242,9 @@ let compile ?world_view ?(meta_view = []) ?(tracer = Gdp_obs.Tracer.disabled)
   let needs_loop_check =
     List.exists (fun (m : Spec.meta_model) -> m.Spec.needs_loop_check) metas
   in
-  { spec; db; world_view; meta_view; needs_loop_check; clause_digest }
+  { spec; db; world_view; meta_view; needs_loop_check; digest }
+
+let clause_digest c = Lazy.force c.digest
 
 (* holds/6 and acc/7 carry the user predicate as the constant at argument
    1; splitting their relations there lets the bottom-up evaluator
@@ -357,7 +360,7 @@ let magic_rewrite ?tracer ~goal db =
 let content_hash (c : t) ~(config : Bottom_up.Config.t) =
   let spec = c.spec in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf c.clause_digest;
+  Buffer.add_string buf (clause_digest c);
   Buffer.add_string buf "|wv:";
   List.iter
     (fun m ->
@@ -387,6 +390,6 @@ let content_hash (c : t) ~(config : Bottom_up.Config.t) =
       Buffer.add_string buf ("|tspace:" ^ r.Gdp_temporal.Resolution1d.name))
     spec.Spec.tspaces;
   Buffer.add_string buf
-    (Printf.sprintf "|fuzzy:%d" (Hashtbl.hash spec.Spec.fuzzy_family));
+    ("|fuzzy:" ^ Gdp_fuzzy.Algebra.family_to_string spec.Spec.fuzzy_family);
   Buffer.add_string buf (Printf.sprintf "|lineage:%b" config.lineage);
   Digest.to_hex (Digest.string (Buffer.contents buf))

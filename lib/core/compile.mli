@@ -16,10 +16,7 @@ type t = private {
   meta_view : string list;
   needs_loop_check : bool;
       (** true when an active meta-model requires the ancestor loop check *)
-  clause_digest : string;
-      (** MD5 (hex) of the canonically rendered compiled clause sequence,
-          taken {e before} the update-log replay — the program part of
-          {!content_hash} *)
+  digest : string Lazy.t;  (** read it through {!clause_digest} *)
 }
 
 val compile :
@@ -38,6 +35,14 @@ val compile :
     definitions and constraints, per-rule accuracy-propagation clauses
     (only when the [fuzzy_propagation] meta-model is active), and the
     meta-view's clauses. *)
+
+val clause_digest : t -> string
+(** MD5 (hex) of the canonically rendered compiled clause sequence — the
+    program part of {!content_hash}. {!compile} captures the clause lists
+    {e before} the update-log replay (so later [Query.update]s do not
+    move it either) and renders and hashes them only on the first call:
+    a compilation that never saves or loads a snapshot never pays for
+    the digest. *)
 
 val rule_clause : model:string -> Spec.rule -> Database.clause
 (** The engine clause of one virtual-fact definition (exposed for tests

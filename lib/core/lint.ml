@@ -139,7 +139,7 @@ let lint (spec : Spec.t) =
       fmt
   in
 
-  let declared_objects = Ss.of_list spec.Spec.objects in
+  let declared_objects = Ss.of_list (Spec.objects spec) in
   (* undeclared / unused objects *)
   if not (Ss.is_empty declared_objects) then
     Ss.iter

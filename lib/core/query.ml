@@ -28,13 +28,6 @@ type t = {
           [with_mode] copies like [fp] *)
 }
 
-let tracer_for ?tracer (spec : Spec.t) =
-  match tracer with
-  | Some tr -> tr
-  | None ->
-      if spec.Spec.telemetry then Gdp_obs.Tracer.create ()
-      else Gdp_obs.Tracer.disabled
-
 (* The one place a query's bottom-up engine is configured: parallelism
    and lineage come from the specification, the indexing switches stay
    at their defaults. *)
@@ -45,7 +38,8 @@ let engine_config (spec : Spec.t) =
     lineage = spec.Spec.provenance;
   }
 
-let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
+let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode
+    ?(tracer = Gdp_obs.Tracer.disabled)
     (compiled : Compile.t) =
   let mode =
     match mode with
@@ -55,7 +49,6 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
         else if compiled.Compile.spec.Spec.prefer_materialized then Materialized
         else Top_down
   in
-  let tracer = tracer_for ?tracer compiled.Compile.spec in
   let solve_stats =
     if Gdp_obs.Tracer.enabled tracer then Some (Solve.create_stats ())
     else None
@@ -80,8 +73,8 @@ let of_compiled ?(max_depth = 100_000) ?(on_depth = `Raise) ?mode ?tracer
     snap = ref None;
   }
 
-let create ?world_view ?meta_view ?max_depth ?on_depth ?mode ?tracer spec =
-  let tracer = tracer_for ?tracer spec in
+let create ?world_view ?meta_view ?max_depth ?on_depth ?mode
+    ?(tracer = Gdp_obs.Tracer.disabled) spec =
   of_compiled ?max_depth ?on_depth ?mode ~tracer
     (Compile.compile ?world_view ?meta_view ~tracer spec)
 

@@ -44,8 +44,7 @@ val create :
     {!Gdp_logic.Solve.Depth_exhausted} rather than silent failure);
     [mode] follows [spec.Spec.prefer_magic] then
     [spec.Spec.prefer_materialized] (normally
-    {!Top_down}); [tracer] defaults to a fresh enabled tracer when
-    [spec.Spec.telemetry] is set and the disabled tracer otherwise. An
+    {!Top_down}); [tracer] defaults to the disabled tracer. An
     enabled tracer also switches on {!Gdp_logic.Solve.stats} collection
     (see {!solve_stats}) and spans around compilation, each query
     operation and the engines' internals. Every bottom-up fixpoint the

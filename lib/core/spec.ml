@@ -30,8 +30,13 @@ type meta_model = {
 
 type update = [ `Assert of Gfact.t | `Retract of Gfact.t ]
 
+(* The declared object names twice over: [names] keeps declaration
+   order (newest first), [index] answers the duplicate check in O(1).
+   Only [declare_object] writes either. *)
+type object_set = { mutable names : string list; index : (string, unit) Hashtbl.t }
+
 type t = {
-  mutable objects : string list;
+  object_set : object_set;
   mutable signatures : signature list;
   domains : Gdp_domain.Semantic_domain.Registry.t;
   mutable spaces : Gdp_space.Resolution.t list;
@@ -45,7 +50,6 @@ type t = {
   mutable extra_builtins : ((string * int) * Database.builtin) list;
   mutable prefer_materialized : bool;
   mutable prefer_magic : bool;
-  mutable telemetry : bool;
   mutable jobs : int; (* bottom-up evaluation parallelism; 0 = autodetect *)
   mutable provenance : bool;
       (* record why-provenance in materialised fixpoints (lineage) *)
@@ -59,7 +63,7 @@ type t = {
 let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
   let spec =
     {
-      objects = [];
+      object_set = { names = []; index = Hashtbl.create 64 };
       signatures = [];
       domains = Gdp_domain.Semantic_domain.Registry.builtin ();
       spaces = [];
@@ -73,7 +77,6 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
       extra_builtins = [];
       prefer_materialized = false;
       prefer_magic = false;
-      telemetry = false;
       jobs = 1;
       provenance = true;
       updates = [];
@@ -93,9 +96,15 @@ let create ?(coord = Gdp_space.Coord.Cartesian) ?(now = 0.0) () =
   spec
 
 let declare_object spec name =
-  if List.mem name spec.objects then
+  let os = spec.object_set in
+  if Hashtbl.mem os.index name then
     invalid_arg (Printf.sprintf "Spec: duplicate object %s" name)
-  else spec.objects <- name :: spec.objects
+  else begin
+    Hashtbl.add os.index name ();
+    os.names <- name :: os.names
+  end
+
+let objects spec = spec.object_set.names
 
 let declare_objects spec names = List.iter (declare_object spec) names
 

@@ -56,8 +56,13 @@ type update = [ `Assert of Gfact.t | `Retract of Gfact.t ]
 (** One post-compilation change to a model's asserted base — the unit of
     the specification's update log (see {!log_update}). *)
 
+type object_set
+(** The declared object designators: an ordered list and a hash set,
+    written together by {!declare_object} only. Read the list through
+    {!objects}. *)
+
 type t = {
-  mutable objects : string list;
+  object_set : object_set;
   mutable signatures : signature list;
   domains : Gdp_domain.Semantic_domain.Registry.t;
   mutable spaces : Gdp_space.Resolution.t list;
@@ -83,12 +88,6 @@ type t = {
           magic-set engine mode ({!Query.Magic}); takes precedence over
           [prefer_materialized]. Same fragment restriction as
           [prefer_materialized]. *)
-  mutable telemetry : bool;
-      (** when true, {!Query.create} attaches an enabled
-          {!Gdp_obs.Tracer.t} to every query it builds (spans for
-          compilation, each query operation, every SLDNF predicate call
-          and every fixpoint stratum/pass), retrievable via
-          {!Query.tracer} — the switch behind [gdprs profile] *)
   mutable jobs : int;
       (** evaluation parallelism for the bottom-up engine: every
           fixpoint {!Query} materialises runs with this many OCaml 5
@@ -118,10 +117,16 @@ val create : ?coord:Gdp_space.Coord.t -> ?now:float -> unit -> t
 (** {1 Universe declarations} *)
 
 val declare_object : t -> string -> unit
-(** Declare one object designator (§III-A); raises on duplicates. *)
+(** Declare one object designator (§III-A); raises on duplicates. The
+    duplicate check is a hash lookup, so declaring [n] objects costs
+    O(n). *)
 
 val declare_objects : t -> string list -> unit
 (** {!declare_object} over a list, in order. *)
+
+val objects : t -> string list
+(** The declared objects, newest first (the order in which {!Compile}
+    emits their [obj/1] generator facts). *)
 
 val declare_predicate : t -> ?value_domains:string list -> ?object_arity:int -> string -> unit
 (** Raises on duplicate name or unknown domain name. *)

@@ -35,10 +35,12 @@ let truth_table_consistent family =
   && Truth.to_float (neg t) = 0.0
   && Truth.to_float (neg f) = 1.0
 
-let pp_family ppf = function
-  | Min_max -> Format.pp_print_string ppf "min-max"
-  | Product -> Format.pp_print_string ppf "product"
-  | Lukasiewicz -> Format.pp_print_string ppf "lukasiewicz"
+let family_to_string = function
+  | Min_max -> "min-max"
+  | Product -> "product"
+  | Lukasiewicz -> "lukasiewicz"
+
+let pp_family ppf f = Format.pp_print_string ppf (family_to_string f)
 
 let family_of_string = function
   | "min-max" | "min_max" | "minmax" | "godel" -> Some Min_max

@@ -33,4 +33,11 @@ val truth_table_consistent : family -> bool
     agrees with two-valued logic (the paper's compatibility remark). *)
 
 val pp_family : Format.formatter -> family -> unit
+
+val family_to_string : family -> string
+(** The canonical name: ["min-max"], ["product"] or ["lukasiewicz"].
+    [family_of_string (family_to_string f) = Some f] for every family. *)
+
 val family_of_string : string -> family option
+(** Parses the canonical names and the aliases ["min_max"], ["minmax"]
+    and ["godel"] for [Min_max]. *)

@@ -279,15 +279,20 @@ let program ?spec ?(base_dir = ".") stmts =
   in
   { spec; views; uses }
 
-let load_string ?spec ?base_dir src =
-  try program ?spec ?base_dir (Parser.program src) with
-  | Parser.Error msg -> raise (Error msg)
-  | Lexer.Error msg -> raise (Error msg)
+let load_string ?spec ?base_dir ?(tracer = Gdp_obs.Tracer.disabled) src =
+  let ast =
+    try
+      Gdp_obs.Tracer.with_span tracer ~cat:"lang" "lang.parse" (fun () ->
+          Parser.program src)
+    with Parser.Error msg -> raise (Error msg)
+  in
+  Gdp_obs.Tracer.with_span tracer ~cat:"lang" "lang.elaborate" (fun () ->
+      program ?spec ?base_dir ast)
 
-let load_file ?spec path =
-  load_string ?spec ~base_dir:(Filename.dirname path) (read_file path)
+let load_file ?spec ?tracer path =
+  load_string ?spec ?tracer ~base_dir:(Filename.dirname path) (read_file path)
 
-let query result ?view ?models ?metas () =
+let query result ?view ?models ?metas ?tracer () =
   match view with
   | Some name -> (
       match
@@ -295,10 +300,11 @@ let query result ?view ?models ?metas () =
       with
       | Some v ->
           Query.create result.spec ~world_view:v.view_models ~meta_view:v.view_metas
+            ?tracer
       | None -> raise (Error (Printf.sprintf "unknown view '%s'" name)))
   | None ->
       let world_view =
         match models with Some m -> m | None -> Spec.default_world_view result.spec
       in
       let meta_view = match metas with Some m -> m | None -> result.uses in
-      Query.create result.spec ~world_view ~meta_view
+      Query.create result.spec ~world_view ~meta_view ?tracer

@@ -22,16 +22,27 @@ val program : ?spec:Gdp_core.Spec.t -> ?base_dir:string -> Ast.program -> result
     or extend the given one. [base_dir] (default ".") resolves relative
     [include] paths; circular includes raise {!Error}. *)
 
-val load_string : ?spec:Gdp_core.Spec.t -> ?base_dir:string -> string -> result
-(** Parse and elaborate. *)
+val load_string :
+  ?spec:Gdp_core.Spec.t -> ?base_dir:string -> ?tracer:Gdp_obs.Tracer.t -> string -> result
+(** Parse and elaborate. With an enabled [tracer] the two stages are
+    ["lang.parse"] and ["lang.elaborate"] spans (category ["lang"]);
+    pass the same tracer to {!query} so compilation and the query
+    operations record next to them. *)
 
-val load_file : ?spec:Gdp_core.Spec.t -> string -> result
+val load_file : ?spec:Gdp_core.Spec.t -> ?tracer:Gdp_obs.Tracer.t -> string -> result
+(** {!load_string} on a file's contents, resolving includes next to it. *)
 
 val query :
-  result -> ?view:string -> ?models:string list -> ?metas:string list -> unit ->
+  result ->
+  ?view:string ->
+  ?models:string list ->
+  ?metas:string list ->
+  ?tracer:Gdp_obs.Tracer.t ->
+  unit ->
   Gdp_core.Query.t
 (** Build a query handle: by named view, by explicit model/meta lists, or
-    (default) all models with the file's [use] activations. *)
+    (default) all models with the file's [use] activations. [tracer] is
+    passed on to {!Gdp_core.Query.create}. *)
 
 val body_to_formula : Ast.body -> Gdp_core.Formula.t
 val fact_to_pattern : Ast.fact_atom -> Gdp_core.Gfact.t

@@ -12,11 +12,16 @@ type t = { token : token; line : int; col : int }
 
 exception Error of string
 
-type state = {
+type stream = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable col : int;
+  raw_after : string list;
+  mutable pending_raw : bool;
+      (* a [raw_after] keyword was seen since the last '.': the next '{'
+         opens a raw block *)
 }
 
 let error st fmt =
@@ -24,97 +29,98 @@ let error st fmt =
     (fun msg -> raise (Error (Printf.sprintf "%d:%d: %s" st.line st.col msg)))
     fmt
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The character [k] places ahead of the cursor; '\000' past the end.
+   Callers that must tell a NUL byte from the end of input test [pos]. *)
+let at st k =
+  let i = st.pos + k in
+  if i < st.len then String.unsafe_get st.src i else '\000'
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let at_end st = st.pos >= st.len
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if st.pos < st.len then begin
+    if String.unsafe_get st.src st.pos = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1
+  end;
   st.pos <- st.pos + 1
 
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_ws st
-  | Some '/' when peek2 st = Some '*' ->
-      advance st;
-      advance st;
-      let rec go depth =
-        match (peek st, peek2 st) with
-        | None, _ -> error st "unterminated comment"
-        | Some '*', Some '/' ->
-            advance st;
-            advance st;
-            if depth > 1 then go (depth - 1)
-        | Some '/', Some '*' ->
-            advance st;
-            advance st;
-            go (depth + 1)
-        | Some _, _ ->
-            advance st;
-            go depth
-      in
-      go 1;
-      skip_ws st
-  | _ -> ()
+  if not (at_end st) then
+    match at st 0 with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_ws st
+    | '/' when at st 1 = '/' ->
+        while (not (at_end st)) && at st 0 <> '\n' do
+          advance st
+        done;
+        skip_ws st
+    | '/' when at st 1 = '*' ->
+        advance st;
+        advance st;
+        let rec go depth =
+          if at_end st then error st "unterminated comment"
+          else
+            match at st 0 with
+            | '*' when at st 1 = '/' ->
+                advance st;
+                advance st;
+                if depth > 1 then go (depth - 1)
+            | '/' when at st 1 = '*' ->
+                advance st;
+                advance st;
+                go (depth + 1)
+            | _ ->
+                advance st;
+                go depth
+        in
+        go 1;
+        skip_ws st
+    | _ -> ()
 
 let is_lower c = c >= 'a' && c <= 'z'
 let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
 let is_ident c = is_lower c || is_upper c || is_digit c
 
+(* identifiers and digit runs never span a newline, so the column moves
+   with the cursor *)
 let take_while st pred =
   let start = st.pos in
-  while (match peek st with Some c -> pred c | None -> false) do
-    advance st
+  while st.pos < st.len && pred (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
   done;
+  st.col <- st.col + (st.pos - start);
   String.sub st.src start (st.pos - start)
 
 let lex_exponent st =
   (* called with the cursor on 'e'/'E'; only consumes when a digit (with
      optional sign) follows, so "2e" stays Int 2 + Ident e *)
-  match peek st with
-  | Some ('e' | 'E') -> (
+  match at st 0 with
+  | 'e' | 'E' ->
       let after_sign =
-        match peek2 st with
-        | Some ('+' | '-') ->
-            if st.pos + 2 < String.length st.src then Some st.src.[st.pos + 2]
-            else None
-        | other -> other
+        match at st 1 with '+' | '-' -> at st 2 | other -> other
       in
-      match after_sign with
-      | Some c when is_digit c ->
-          advance st;
-          let sign =
-            match peek st with
-            | Some (('+' | '-') as c) ->
-                advance st;
-                String.make 1 c
-            | _ -> ""
-          in
-          Some ("e" ^ sign ^ take_while st is_digit)
-      | _ -> None)
+      if is_digit after_sign then begin
+        advance st;
+        let sign =
+          match at st 0 with
+          | ('+' | '-') as c ->
+              advance st;
+              String.make 1 c
+          | _ -> ""
+        in
+        Some ("e" ^ sign ^ take_while st is_digit)
+      end
+      else None
   | _ -> None
 
 let lex_number st =
   let intpart = take_while st is_digit in
-  let has_frac =
-    peek st = Some '.'
-    && match peek2 st with Some c -> is_digit c | None -> false
-  in
-  if has_frac then begin
+  if at st 0 = '.' && is_digit (at st 1) then begin
     advance st;
     let frac = take_while st is_digit in
     let expo = Option.value (lex_exponent st) ~default:"" in
@@ -129,64 +135,69 @@ let lex_string st =
   advance st;
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-        advance st;
-        (match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some c -> Buffer.add_char buf c
-        | None -> error st "unterminated escape");
-        advance st;
-        go ()
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
+    if at_end st then error st "unterminated string"
+    else
+      match at st 0 with
+      | '"' -> advance st
+      | '\\' ->
+          advance st;
+          if at_end st then error st "unterminated escape";
+          (match at st 0 with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | c -> Buffer.add_char buf c);
+          advance st;
+          go ()
+      | c ->
+          Buffer.add_char buf c;
+          advance st;
+          go ()
   in
   go ();
   Str (Buffer.contents buf)
 
-(* multi-character operators, longest first *)
-let operators =
-  [ "\\=="; "=:="; "=\\="; "=>"; "<-"; ">="; "=<"; "=="; "\\="; ">"; "<"; "=" ]
+(* Operators and punctuation, dispatched on the first character, longest
+   match first: => <- >= =< == \== \= =:= =\= > < = and the
+   single-character punctuation. Every token text is a shared string, so
+   no punctuation token allocates one. *)
+let punct st n p =
+  for _ = 1 to n do
+    advance st
+  done;
+  Punct p
 
-let try_operator st =
-  let rest = String.length st.src - st.pos in
-  let matches op =
-    let n = String.length op in
-    n <= rest && String.equal (String.sub st.src st.pos n) op
-  in
-  match List.find_opt matches operators with
-  | Some op ->
-      String.iter (fun _ -> advance st) op;
-      Some (Punct op)
-  | None -> None
+let single_chars = "()[]{},.;:'@&%+-*/|"
+let one_char = Array.init 256 (fun i -> String.make 1 (Char.chr i))
+
+let lex_punct st c =
+  match c with
+  | '=' -> (
+      match at st 1 with
+      | ':' when at st 2 = '=' -> punct st 3 "=:="
+      | '\\' when at st 2 = '=' -> punct st 3 "=\\="
+      | '>' -> punct st 2 "=>"
+      | '<' -> punct st 2 "=<"
+      | '=' -> punct st 2 "=="
+      | _ -> punct st 1 "=")
+  | '\\' when at st 1 = '=' ->
+      if at st 2 = '=' then punct st 3 "\\==" else punct st 2 "\\="
+  | '<' -> if at st 1 = '-' then punct st 2 "<-" else punct st 1 "<"
+  | '>' -> if at st 1 = '=' then punct st 2 ">=" else punct st 1 ">"
+  | c when String.contains single_chars c -> punct st 1 one_char.(Char.code c)
+  | c -> error st "unexpected character %C" c
 
 let next_token st =
   skip_ws st;
   let line = st.line and col = st.col in
   let token =
-    match peek st with
-    | None -> Eof
-    | Some c when is_digit c -> lex_number st
-    | Some c when is_lower c -> Ident (take_while st is_ident)
-    | Some c when is_upper c -> Var (take_while st is_ident)
-    | Some '"' -> lex_string st
-    | Some ('(' | ')' | '[' | ']' | '{' | '}' | ',' | '.' | ';' | ':' | '\'' | '@'
-          | '&' | '%' | '+' | '-' | '*' | '/' | '|') as some_c ->
-        (match try_operator st with
-        | Some tok -> tok
-        | None ->
-            let c = Option.get some_c in
-            advance st;
-            Punct (String.make 1 c))
-    | Some _ -> (
-        match try_operator st with
-        | Some tok -> tok
-        | None -> error st "unexpected character %C" (Option.get (peek st)))
+    if at_end st then Eof
+    else
+      let c = at st 0 in
+      if is_digit c then lex_number st
+      else if is_lower c then Ident (take_while st is_ident)
+      else if is_upper c then Var (take_while st is_ident)
+      else if c = '"' then lex_string st
+      else lex_punct st c
   in
   { token; line; col }
 
@@ -194,58 +205,68 @@ let capture_raw st =
   (* st is positioned just after the opening '{' *)
   let buf = Buffer.create 128 in
   let rec go depth =
-    match peek st with
-    | None -> error st "unterminated raw block"
-    | Some '{' ->
-        Buffer.add_char buf '{';
-        advance st;
-        go (depth + 1)
-    | Some '}' ->
-        advance st;
-        if depth > 1 then begin
-          Buffer.add_char buf '}';
-          go (depth - 1)
-        end
-    | Some '\'' ->
-        (* quoted atom: copy verbatim so braces inside quotes are safe *)
-        Buffer.add_char buf '\'';
-        advance st;
-        let rec copy_quoted () =
-          match peek st with
-          | None -> error st "unterminated quoted atom in raw block"
-          | Some '\'' ->
-              Buffer.add_char buf '\'';
-              advance st
-          | Some c ->
-              Buffer.add_char buf c;
-              advance st;
-              copy_quoted ()
-        in
-        copy_quoted ();
-        go depth
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go depth
+    if at_end st then error st "unterminated raw block"
+    else
+      match at st 0 with
+      | '{' ->
+          Buffer.add_char buf '{';
+          advance st;
+          go (depth + 1)
+      | '}' ->
+          advance st;
+          if depth > 1 then begin
+            Buffer.add_char buf '}';
+            go (depth - 1)
+          end
+      | '\'' ->
+          (* quoted atom: copy verbatim so braces inside quotes are safe *)
+          Buffer.add_char buf '\'';
+          advance st;
+          let rec copy_quoted () =
+            if at_end st then error st "unterminated quoted atom in raw block"
+            else
+              match at st 0 with
+              | '\'' ->
+                  Buffer.add_char buf '\'';
+                  advance st
+              | c ->
+                  Buffer.add_char buf c;
+                  advance st;
+                  copy_quoted ()
+          in
+          copy_quoted ();
+          go depth
+      | c ->
+          Buffer.add_char buf c;
+          advance st;
+          go depth
   in
   go 1;
   Buffer.contents buf
 
-let tokenize ?(raw_after = []) src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
-  let rec go acc pending_raw =
-    let tok = next_token st in
-    match tok.token with
-    | Eof -> List.rev (tok :: acc)
-    | Punct "{" when pending_raw ->
-        let line = st.line and col = st.col in
-        let raw = capture_raw st in
-        go ({ token = Raw raw; line; col } :: acc) false
-    | Ident k when List.mem k raw_after -> go (tok :: acc) true
-    | Punct "." -> go (tok :: acc) false
-    | _ -> go (tok :: acc) pending_raw
-  in
-  go [] false
+let stream ?(raw_after = []) src =
+  { src; len = String.length src; pos = 0; line = 1; col = 1; raw_after;
+    pending_raw = false }
 
-let tokens src = tokenize src
-let tokenize_with_raw_after src ~keywords = tokenize ~raw_after:keywords src
+let next st =
+  let tok = next_token st in
+  match tok.token with
+  | Punct "{" when st.pending_raw ->
+      st.pending_raw <- false;
+      let line = st.line and col = st.col in
+      { token = Raw (capture_raw st); line; col }
+  | Ident k when st.raw_after <> [] && List.mem k st.raw_after ->
+      st.pending_raw <- true;
+      tok
+  | Punct "." ->
+      st.pending_raw <- false;
+      tok
+  | _ -> tok
+
+let tokens ?raw_after src =
+  let st = stream ?raw_after src in
+  let rec go acc =
+    let tok = next st in
+    match tok.token with Eof -> List.rev (tok :: acc) | _ -> go (tok :: acc)
+  in
+  go []

@@ -19,13 +19,23 @@ type t = { token : token; line : int; col : int }
 exception Error of string
 (** Message includes line:col. *)
 
-val tokens : string -> t list
-(** Tokenize fully. Raw blocks are {e not} produced here — see
-    {!raw_block}. *)
+type stream
+(** A pull lexer: {!next} scans one token at a time, so a parser reading
+    from it holds only its lookahead, never the whole token list. *)
 
-val tokenize_with_raw_after : string -> keywords:string list -> t list
-(** Like {!tokens}, but whenever the token sequence
-    [Ident k; ...; Punct "{"] with [k] in [keywords] is seen, the braces'
+val stream : ?raw_after:string list -> string -> stream
+(** A stream over [src], positioned at line 1, column 1. Whenever the
+    token sequence [Ident k; ...; Punct "{"] with [k] in [raw_after]
+    (default none) is seen before the next [Punct "."], the braces'
     content is captured verbatim as a single [Raw] token (respecting
-    nested braces, quotes and comments). Used for [metamodel name { ... }]
-    blocks whose interior is engine-clause syntax. *)
+    nested braces and quoted atoms). The parser uses this for
+    [metamodel name { ... }] blocks, whose interior is engine-clause
+    syntax. *)
+
+val next : stream -> t
+(** The next token; [Eof] at the end of input, and again on every later
+    call. Raises {!Error} at the first character that starts no token,
+    or at an unterminated string, comment or raw block. *)
+
+val tokens : ?raw_after:string list -> string -> t list
+(** Drain a {!stream} over the whole input, [Eof] included. *)

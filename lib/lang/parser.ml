@@ -2,9 +2,17 @@ open Ast
 
 exception Error of string
 
-type state = { mutable toks : Lexer.t list }
+(* The parser pulls tokens from the lexer as it goes: [cur] is the token
+   under the cursor and [ahead] the tokens already lexed past it for the
+   qualifier look-aheads (at most 2). Lexing lazily means the first
+   error in source order is the one reported, lexical or syntactic. *)
+type state = {
+  lex : Lexer.stream;
+  mutable cur : Lexer.t;
+  mutable ahead : Lexer.t list;
+}
 
-let current st = match st.toks with [] -> assert false | t :: _ -> t
+let current st = st.cur
 
 let err st fmt =
   let t = current st in
@@ -12,7 +20,20 @@ let err st fmt =
     (fun msg -> raise (Error (Printf.sprintf "%d:%d: %s" t.Lexer.line t.Lexer.col msg)))
     fmt
 
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let advance st =
+  match st.ahead with
+  | t :: rest ->
+      st.cur <- t;
+      st.ahead <- rest
+  | [] -> st.cur <- Lexer.next st.lex
+
+(* the token [k] places past the cursor, 1 <= k <= 2 *)
+let rec peek st k =
+  match List.nth_opt st.ahead (k - 1) with
+  | Some t -> t.Lexer.token
+  | None ->
+      st.ahead <- st.ahead @ [ Lexer.next st.lex ];
+      peek st k
 
 let token st = (current st).Lexer.token
 
@@ -187,10 +208,7 @@ let position_args st =
 let spatial_qualifier st =
   (* '@' already consumed *)
   match token st with
-  | Lexer.Ident (("u" | "s" | "a") as kind) when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct "["; _ } :: _ -> true
-      | _ -> false) ->
+  | Lexer.Ident (("u" | "s" | "a") as kind) when peek st 1 = Lexer.Punct "[" ->
       advance st;
       expect_punct st "[";
       let space = expect_ident st in
@@ -241,27 +259,23 @@ let interval_expr st =
 let temporal_qualifier st =
   (* '&' already consumed *)
   match token st with
-  | Lexer.Ident "c" when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct "["; _ } :: _ -> true
-      | _ -> false) ->
+  | Lexer.Ident "c" when peek st 1 = Lexer.Punct "[" ->
       advance st;
       expect_punct st "[";
       let period = number st in
       expect_punct st "]";
       Tq_cyclic (period, interval_expr st)
-  | Lexer.Ident (("u" | "s" | "a") as kind) when
-      (match st.toks with
-      | _ :: { Lexer.token = Lexer.Punct ("[" | "("); _ } :: _ -> true
-      | _ -> false) -> (
+  | Lexer.Ident (("u" | "s" | "a") as kind)
+    when match peek st 1 with Lexer.Punct ("[" | "(") -> true | _ -> false -> (
       advance st;
       (* two forms: an explicit interval [t1, t2] / (t1, t2] ..., or a
          named temporal resolution [years] followed by an instant — "an
          interval definition in place of the resolution function" (§VI-B),
          in reverse *)
-      match (token st, st.toks) with
-      | Lexer.Punct "[", _ :: { Lexer.token = Lexer.Ident _; _ }
-                         :: { Lexer.token = Lexer.Punct "]"; _ } :: _ ->
+      match token st with
+      | Lexer.Punct "["
+        when (match peek st 1 with Lexer.Ident _ -> true | _ -> false)
+             && peek st 2 = Lexer.Punct "]" ->
           advance st;
           let tspace = expect_ident st in
           expect_punct st "]";
@@ -633,7 +647,8 @@ and statements st ~in_model ~until_brace =
   go []
 
 let make_state src =
-  { toks = Lexer.tokenize_with_raw_after src ~keywords:[ "metamodel" ] }
+  let lex = Lexer.stream ~raw_after:[ "metamodel" ] src in
+  { lex; cur = Lexer.next lex; ahead = [] }
 
 let program src =
   try statements (make_state src) ~in_model:None ~until_brace:false

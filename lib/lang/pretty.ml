@@ -250,7 +250,7 @@ let spec ppf (s : Spec.t) =
          match Sd.Registry.find s.Spec.domains n with
          | Some d -> Format.fprintf ppf "%a@." pp_domain d
          | None -> ());
-  (match List.rev s.Spec.objects with
+  (match List.rev (Spec.objects s) with
   | [] -> ()
   | objects -> line "objects %s." (String.concat ", " objects));
   List.iter

@@ -326,6 +326,14 @@ let all_clauses db fa =
 
 let predicates db = Sm.bindings db.preds |> List.map fst
 
+(* entry lists are persistent — assert and retract replace them, never
+   mutate them — so holding the current lists is a snapshot *)
+let freeze db =
+  let entries = Sm.map (fun p -> p.entries) db.preds in
+  fun () ->
+    Sm.fold (fun _ es acc -> List.rev_map (fun e -> e.clause) es :: acc) entries []
+    |> List.rev
+
 let register_builtin db fa fn =
   if Sm.mem fa db.preds then
     invalid_arg
@@ -334,18 +342,23 @@ let register_builtin db fa fn =
 
 let find_builtin db fa = Sm.find_opt fa db.builtins
 
+(* a ground unit clause has no variable to rename: resolution may use it
+   as it is, which spares a copy of every candidate fact *)
 let rename_clause c =
-  let tbl : (int, Term.var) Hashtbl.t = Hashtbl.create 8 in
-  let lookup id = Hashtbl.find_opt tbl id in
-  let fresh (v : Term.var) =
-    let w = Term.var_with_id v.Term.name (Term.fresh_id ()) in
-    Hashtbl.add tbl v.Term.id w;
-    Term.Var w
-  in
-  {
-    head = Term.rename lookup fresh c.head;
-    body = List.map (Term.rename lookup fresh) c.body;
-  }
+  if c.body = [] && Term.is_ground c.head then c
+  else begin
+    let tbl : (int, Term.var) Hashtbl.t = Hashtbl.create 8 in
+    let lookup id = Hashtbl.find_opt tbl id in
+    let fresh (v : Term.var) =
+      let w = Term.var_with_id v.Term.name (Term.fresh_id ()) in
+      Hashtbl.add tbl v.Term.id w;
+      Term.Var w
+    in
+    {
+      head = Term.rename lookup fresh c.head;
+      body = List.map (Term.rename lookup fresh) c.body;
+    }
+  end
 
 let size db = Sm.fold (fun _ p acc -> acc + p.count) db.preds 0
 

@@ -74,12 +74,20 @@ val all_clauses : t -> (string * int) -> clause list
 val predicates : t -> (string * int) list
 (** All predicates that currently have clauses, sorted. *)
 
+val freeze : t -> unit -> clause list list
+(** [freeze db] captures the clause store as it stands, in time linear
+    in the number of predicates. The returned function lists every
+    predicate's clauses ({!predicates} order, each in assertion order)
+    as they stood at the capture, whatever is asserted or retracted
+    since. *)
+
 val register_builtin : t -> string * int -> builtin -> unit
 (** Raises [Invalid_argument] if the predicate already has clauses. *)
 
 val find_builtin : t -> string * int -> builtin option
 val rename_clause : clause -> clause
-(** Fresh variables throughout the clause, consistently. *)
+(** Fresh variables throughout the clause, consistently. A ground unit
+    clause (a fact without variables) comes back unchanged, not copied. *)
 
 val size : t -> int
 (** Total number of stored clauses. *)

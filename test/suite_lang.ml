@@ -43,8 +43,8 @@ let test_lexer_comments_nested () =
 
 let test_lexer_raw_block () =
   let toks =
-    Lexer.tokenize_with_raw_after "metamodel foo { p(X) :- q(X). } fact r(a)."
-      ~keywords:[ "metamodel" ]
+    Lexer.tokens ~raw_after:[ "metamodel" ]
+      "metamodel foo { p(X) :- q(X). } fact r(a)."
   in
   Alcotest.(check bool) "raw captured" true
     (List.exists
@@ -147,7 +147,59 @@ let test_parse_errors_with_position () =
   Alcotest.(check bool) "unknown keyword" true (fails "frobnicate x." <> None);
   Alcotest.(check bool) "bad domain" true (fails "domain d = foo." <> None)
 
+(* The parser pulls tokens from the lexer as it goes, so each error is
+   reported where it is met: the same line:col a whole-file tokenizer
+   gave for a lexical error, and the earliest error in source order when
+   a file has more than one. *)
+let test_error_positions () =
+  let error_of src =
+    match Parser.program src with
+    | exception Parser.Error msg -> msg
+    | _ -> Alcotest.failf "accepted: %S" src
+  in
+  List.iter
+    (fun (what, src, want) -> Alcotest.(check string) what want (error_of src))
+    [
+      ( "bad character",
+        "objects a.\nfact road(a).\nfact road($a).",
+        "3:11: unexpected character '$'" );
+      ( "lone backslash",
+        "fact x(a).\n  fact y(b) \\ z.",
+        "2:13: unexpected character '\\\\'" );
+      ( "unterminated string",
+        "objects a.\nfact name(a) \"abc",
+        "2:18: unterminated string" );
+      ( "unterminated comment",
+        "objects a.\n  /* open /* nested */ comment",
+        "2:31: unterminated comment" );
+      ("syntax error", "objects a.\nfact road(a)\nfact road(a).", "3:1: expected '.'");
+      ( "syntax error before a bad character",
+        "fact road(a) fact road(b).\nobjects $.",
+        "1:14: expected '.'" );
+      ( "syntax error before an unterminated string",
+        "fact road(a) fact road(b).\nobjects \"x",
+        "1:14: expected '.'" );
+    ]
+
 (* ---------- elaboration ---------- *)
+
+(* Objects live in a hash set for the duplicate check and in a list for
+   order; the compiled obj/1 generator facts keep the list's order,
+   newest declaration first. *)
+let test_elaborate_objects () =
+  (match Elaborate.load_string "objects a, b. objects c, a." with
+  | exception Elaborate.Error msg ->
+      Alcotest.(check string) "duplicate" "Spec: duplicate object a" msg
+  | _ -> Alcotest.fail "duplicate object accepted");
+  let spec = (Elaborate.load_string "objects a, b, c.\nobjects d.").Elaborate.spec in
+  Alcotest.(check (list string)) "newest first" [ "d"; "c"; "b"; "a" ]
+    (Spec.objects spec);
+  let db = (Compile.compile spec).Compile.db in
+  Alcotest.(check (list string)) "obj/1 order"
+    [ "obj(d)"; "obj(c)"; "obj(b)"; "obj(a)" ]
+    (List.map
+       (fun c -> Gdp_logic.Term.to_string c.Gdp_logic.Database.head)
+       (Gdp_logic.Database.all_clauses db ("obj", 1)))
 
 let test_elaborate_declarations () =
   let result =
@@ -175,7 +227,7 @@ let test_elaborate_declarations () =
     (spec.Spec.fuzzy_family = Gdp_fuzzy.Algebra.Product);
   Alcotest.(check bool) "domain declared" true
     (Gdp_domain.Semantic_domain.Registry.find spec.Spec.domains "veg" <> None);
-  Alcotest.(check int) "objects" 2 (List.length spec.Spec.objects);
+  Alcotest.(check int) "objects" 2 (List.length (Spec.objects spec));
   Alcotest.(check bool) "anisotropic space" true
     (match Spec.find_space spec "r2" with
     | Some r -> r.Gdp_space.Resolution.dx = 1.0 && r.Gdp_space.Resolution.dy = 2.0
@@ -367,7 +419,11 @@ let tests =
     Alcotest.test_case "parser: rule bodies" `Quick test_parse_rule_body;
     Alcotest.test_case "parser: body operators" `Quick test_parse_body_operators;
     Alcotest.test_case "parser: errors" `Quick test_parse_errors_with_position;
+    Alcotest.test_case "parser: error positions, first error first" `Quick
+      test_error_positions;
     Alcotest.test_case "elaborate: declarations" `Quick test_elaborate_declarations;
+    Alcotest.test_case "elaborate: objects, duplicates and obj/1 order" `Quick
+      test_elaborate_objects;
     Alcotest.test_case "elaborate: full example" `Quick test_elaborate_full_example;
     Alcotest.test_case "elaborate: model blocks" `Quick test_elaborate_model_blocks;
     Alcotest.test_case "elaborate: accuracy and views" `Quick test_elaborate_acc_and_views;

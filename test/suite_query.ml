@@ -139,6 +139,26 @@ let test_ask_raw () =
   Alcotest.(check int) "raw enumeration" 2
     (List.length (Query.ask_all q "holds(w, road, [], [R], nospace, notime)"))
 
+(* Resolution uses a ground fact as stored and renames only clauses with
+   variables: a unit clause with variables used twice in one body must
+   still bind apart at each use. *)
+let test_unit_clauses_renamed_apart () =
+  let r =
+    Gdp_lang.Elaborate.load_string
+      "objects a, b.\nmetamodel twins { same(X, X). }\nuse twins."
+  in
+  let q = Gdp_lang.Elaborate.query r () in
+  let show rows =
+    List.map
+      (List.map (fun (x, t) -> x ^ "=" ^ Term.to_string t))
+      rows
+  in
+  Alcotest.(check (list (list string))) "each use binds apart"
+    [ [ "A=a"; "B=b" ] ]
+    (show (Query.ask_all q "same(a, A), same(b, B)"));
+  Alcotest.(check bool) "one use binds both arguments" false
+    (Query.ask q "same(a, b)")
+
 let test_rule_clause_shape () =
   let x = v "X" in
   let rule =
@@ -380,6 +400,8 @@ let tests =
     Alcotest.test_case "undeclared names rejected" `Quick test_undeclared_names_rejected;
     Alcotest.test_case "generator facts" `Quick test_generator_facts;
     Alcotest.test_case "raw queries" `Quick test_ask_raw;
+    Alcotest.test_case "unit clauses with variables are renamed apart" `Quick
+      test_unit_clauses_renamed_apart;
     Alcotest.test_case "compiled clause shapes" `Quick test_rule_clause_shape;
     Alcotest.test_case "depth options" `Quick test_depth_options;
     Alcotest.test_case "automatic loop check" `Quick test_loop_check_auto_enabled;

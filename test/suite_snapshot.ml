@@ -304,6 +304,79 @@ let test_update_log_replay () =
   Alcotest.(check (list string)) "replay == fresh apply" (reach_all q3)
     (reach_all q2)
 
+(* The clause digest covers the clause lists as they stand before the
+   update-log replay, and is rendered only when first asked for. Query
+   updates mutate the compiled database in place, so a digest forced
+   after them must still be the one a fresh compilation computes. *)
+let test_digest_ignores_updates () =
+  let spec = datalog_spec () in
+  let c = Compile.compile spec in
+  let q = Query.of_compiled c in
+  ignore
+    (Query.update q
+       [
+         `Assert (Gfact.make "link" ~objects:[ a "n4"; a "n1" ]);
+         `Retract (Gfact.make "flagged" ~objects:[ a "n3" ]);
+       ]);
+  Alcotest.(check bool) "update applied" true
+    (Query.holds q (Gfact.make "reach" ~objects:[ a "n4"; a "n2" ]));
+  let fresh = Compile.clause_digest (Compile.compile (datalog_spec ())) in
+  Alcotest.(check string) "forced after the update" fresh (Compile.clause_digest c);
+  Alcotest.(check string) "recompiled with the update log" fresh
+    (Compile.clause_digest (Compile.compile spec))
+
+(* Recorded digests of the shipped specifications. The digest is part of
+   every snapshot key, so a change to how clauses are rendered turns
+   every saved snapshot stale; it must be deliberate. An example added
+   to examples/ needs its digest recorded here. *)
+let recorded_digests =
+  [
+    ("../examples/terrain_mapping.gdp", "4b6bfe934e2d74cbbed25c8e2e7e2b55");
+    ("cli.t/demo.gdp", "a01ed635a3ad894bfe375c7fb8d69359");
+  ]
+
+let test_example_digests () =
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".gdp")
+    |> List.map (Filename.concat "../examples")
+    |> List.sort compare
+  in
+  List.iter
+    (fun path ->
+      if not (List.mem_assoc path recorded_digests) then
+        Alcotest.failf "no recorded digest for %s" path)
+    examples;
+  List.iter
+    (fun (path, want) ->
+      let r = Gdp_lang.Elaborate.load_file path in
+      let spec = r.Gdp_lang.Elaborate.spec in
+      let c =
+        Compile.compile ~world_view:(Spec.default_world_view spec)
+          ~meta_view:r.Gdp_lang.Elaborate.uses spec
+      in
+      Alcotest.(check string) path want (Compile.clause_digest c))
+    recorded_digests
+
+(* The key names the fuzzy family canonically, so every family keys
+   apart and the name parses back to the family. *)
+let test_fuzzy_family_key () =
+  let module A = Gdp_fuzzy.Algebra in
+  let families = [ A.Min_max; A.Product; A.Lukasiewicz ] in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (A.family_to_string f) true
+        (A.family_of_string (A.family_to_string f) = Some f))
+    families;
+  let key f =
+    let spec = datalog_spec () in
+    spec.Spec.fuzzy_family <- f;
+    Compile.content_hash (Compile.compile spec) ~config:Bottom_up.Config.default
+  in
+  let keys = List.map key families in
+  Alcotest.(check int) "three distinct keys" 3
+    (List.length (List.sort_uniq String.compare keys))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -316,4 +389,10 @@ let tests =
       test_corrupt_rejected;
     Alcotest.test_case "update-log replay equivalence" `Quick
       test_update_log_replay;
+    Alcotest.test_case "clause digest ignores later updates" `Quick
+      test_digest_ignores_updates;
+    Alcotest.test_case "clause digests of the shipped specs are unchanged" `Quick
+      test_example_digests;
+    Alcotest.test_case "snapshot key names the fuzzy family" `Quick
+      test_fuzzy_family_key;
   ]
