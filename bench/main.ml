@@ -8,15 +8,26 @@
      controllable scale, each printing the rows recorded in
      EXPERIMENTS.md (ground-truth agreement, scaling series, shape
      checks);
-   - engine-*: Bechamel micro-benchmarks of the inference substrate — the
-     performance dimension the paper mentions ("Prolog's computational
-     inefficiency") but never quantifies.
+   - ablation: the design choices DESIGN.md calls out, head to head;
+   - micro: Bechamel micro-benchmarks of the inference substrate;
+   - engine-*: wall-clock series over the bottom-up engine's subsystems
+     (indexing, DRed maintenance, magic sets, --jobs, lineage, R-tree
+     joins, snapshots) — the performance dimension the paper mentions
+     ("Prolog's computational inefficiency") but never quantifies. Every
+     timed leg is the median of [reps] runs, reported with its minimum
+     and interquartile range.
 
-   Usage:
-     dune exec bench/main.exe             # reports + micro-benchmarks
-     dune exec bench/main.exe -- report   # experiment reports only
-     dune exec bench/main.exe -- micro    # micro-benchmarks only
-     dune exec bench/main.exe -- e7       # a single experiment *)
+   Usage (the names are the [commands] table at the end of this file):
+     dune exec bench/main.exe                  # all but report and json
+     dune exec bench/main.exe -- e7 [e8 ...]   # experiments e1..e12
+     dune exec bench/main.exe -- report        # e1..e12
+     dune exec bench/main.exe -- ablation
+     dune exec bench/main.exe -- micro
+     dune exec bench/main.exe -- engine-bu     # one engine series at its
+         small scales, table only: engine-bu, engine-incr, engine-magic,
+         engine-par, engine-prov, engine-spatial, engine-snap
+     dune exec bench/main.exe -- json [small]  # every engine series, full
+         (or small) scales, tables plus BENCH_engine.json *)
 
 open Gdp_core
 module T = Gdp_logic.Term
@@ -751,10 +762,176 @@ let micro () =
         rows)
     results
 
-(* --------------------------------------- engine-bu: fixpoint strategies *)
+(* ----------------------------------------------- engine series: harness *)
 
-(* Workload builders shared by the console `engine-bu` series and the
-   machine-readable `json` mode. *)
+(* An engine series measures each of its workloads at a list of scales.
+   Each measurement is one row: an ordered list of named fields. One
+   writer prints rows as a console table, another as BENCH_engine.json,
+   so the two cannot drift apart. *)
+
+(* every timed leg runs this many times; a row reports the median *)
+let reps = 3
+
+type timing = { median : float; min : float; iqr : float }
+
+type value =
+  | Int of int
+  | Num of float
+  | Bool of bool
+  | Str of string
+  | Ms of timing  (* a timed leg: X_ms, X_ms_min and X_ms_iqr in JSON *)
+  | List of value list
+  | Obj of field list
+
+and field = string * value
+
+(* the p-quantile of an ascending array, interpolating between ranks *)
+let quantile sorted p =
+  let last = Array.length sorted - 1 in
+  let pos = p *. float_of_int last in
+  let i = int_of_float pos in
+  let j = min last (i + 1) in
+  sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(j) -. sorted.(i)))
+
+(* [timed ~setup leg] runs [leg (setup ())] [reps] times with only [leg]
+   on the clock, and returns the timing with the last run's result. *)
+let timed ~setup leg =
+  let rec go i samples =
+    let x = setup () in
+    let ms, r = time_ms (fun () -> leg x) in
+    if i = 1 then (ms :: samples, r) else go (i - 1) (ms :: samples)
+  in
+  let samples, r = go reps [] in
+  let sorted = Array.of_list samples in
+  Array.sort Float.compare sorted;
+  ( {
+      median = quantile sorted 0.5;
+      min = sorted.(0);
+      iqr = quantile sorted 0.75 -. quantile sorted 0.25;
+    },
+    r )
+
+(* how many times faster [b] ran than [a], by median *)
+let speedup a b = Num (a.median /. Float.max 0.001 b.median)
+
+(* at most 100 elements, every (length / 100)-th from the first. SLD
+   cost depends on which atoms are drawn: rounding the stride up instead
+   picks, at roads-64, a reach pair whose proof runs for minutes. *)
+let sample xs =
+  let stride = max 1 (List.length xs / 100) in
+  List.filteri (fun i _ -> i mod stride = 0 && i / stride < 100) xs
+
+(* re-prove each target top-down, with the ancestor loop check on *)
+let sld_check db targets =
+  let options =
+    { Gdp_logic.Solve.default_options with Gdp_logic.Solve.loop_check = true }
+  in
+  timed
+    ~setup:(fun () -> targets)
+    (List.for_all (fun f -> Gdp_logic.Solve.succeeds ~options db [ f ]))
+
+let rec cell = function
+  | Int n -> string_of_int n
+  | Num x -> Printf.sprintf "%.3g" x
+  | Bool b -> string_of_bool b
+  | Str s -> s
+  | Ms t -> Printf.sprintf "%.1f+-%.1f" t.median t.iqr
+  | List vs -> "[" ^ String.concat "; " (List.map cell vs) ^ "]"
+  | Obj fs -> String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ cell v) fs)
+
+let is_column = function List _ | Obj _ -> false | _ -> true
+
+(* console: scalar fields as right-aligned columns, sized by the first
+   row, which also prints the header; list fields trail the line as
+   name=[...] *)
+let console_table () =
+  let widths = ref [] in
+  fun fields ->
+    let columns = List.filter (fun (_, v) -> is_column v) fields in
+    if !widths = [] then begin
+      widths :=
+        List.map
+          (fun (k, v) -> 2 + max (String.length k) (String.length (cell v)))
+          columns;
+      List.iter2 (fun w (k, _) -> row "%*s" w k) !widths columns;
+      row "\n"
+    end;
+    List.iter2 (fun w (_, v) -> row "%*s" w (cell v)) !widths columns;
+    List.iter
+      (fun (k, v) -> if not (is_column v) then row "  %s=%s" k (cell v))
+      fields;
+    row "\n"
+
+(* JSON: objects and lists of objects break onto indented lines down to
+   the rows, which stay one per line *)
+let rec json depth v =
+  let pad = String.make (2 * depth) ' ' in
+  let lines open_ close items =
+    open_ ^ "\n"
+    ^ String.concat ",\n" (List.map (fun s -> pad ^ "  " ^ s) items)
+    ^ "\n" ^ pad ^ close
+  in
+  let key k = Gdp_obs.Export.json_string k ^ ": " in
+  let expand =
+    List.concat_map (function
+      | k, Ms t ->
+          [ (k, Num t.median); (k ^ "_min", Num t.min); (k ^ "_iqr", Num t.iqr) ]
+      | f -> [ f ])
+  in
+  match v with
+  | Int n -> string_of_int n
+  | Num x -> if Float.is_finite x then Printf.sprintf "%.4f" x else "null"
+  | Bool b -> string_of_bool b
+  | Str s -> Gdp_obs.Export.json_string s
+  | Ms t -> json depth (Num t.median)
+  | Obj fs when depth <= 2 ->
+      lines "{" "}"
+        (List.map (fun (k, v) -> key k ^ json (depth + 1) v) (expand fs))
+  | List (Obj _ :: _ as vs) when depth <= 3 ->
+      lines "[" "]" (List.map (json (depth + 1)) vs)
+  | Obj fs ->
+      "{ "
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> key k ^ json depth v) (expand fs))
+      ^ " }"
+  | List vs -> "[" ^ String.concat ", " (List.map (json depth) vs) ^ "]"
+
+(* A workload is an input the series can rebuild at any scale, with the
+   scales of the full json run and of json small and engine-<series>. *)
+type 'a workload = { name : string; sizes : int list; small : int list; input : 'a }
+
+type series =
+  | Series : {
+      name : string;  (* on the command line: engine-<name> *)
+      key : string;  (* top-level key of BENCH_engine.json *)
+      about : string;
+      workloads : 'a workload list;
+      attrs : 'a -> field list;  (* extra keys of a workload's object *)
+      measure : 'a -> int -> field list;  (* one row *)
+    }
+      -> series
+
+let no_attrs _ = []
+
+(* runs every workload of a series at its small or full scales, printing
+   each row as it lands; returns one JSON object per workload *)
+let run_series ~small (Series s) =
+  List.map
+    (fun w ->
+      section (Printf.sprintf "engine-%s %s — %s" s.name w.name s.about);
+      let print = console_table () in
+      let rows =
+        List.map
+          (fun scale ->
+            let r = s.measure w.input scale in
+            print r;
+            Obj r)
+          (if small then w.small else w.sizes)
+      in
+      Obj ((("name", Str w.name) :: s.attrs w.input) @ [ ("rows", List rows) ]))
+    s.workloads
+
+(* --------------------------------------------- engine series: workloads *)
 
 let bu_roads_db n =
   let open Gdp_logic in
@@ -819,31 +996,6 @@ let bu_terrain_db n =
     |};
   db
 
-type bu_workload = {
-  bu_name : string;
-  bu_title : string;
-  bu_db : int -> Gdp_logic.Database.t;
-  bu_goal : Gdp_logic.Term.t;
-  bu_console_sizes : int list;  (* scan + indexed + top-down probes *)
-  bu_json_sizes : int list;  (* scan + indexed only: scales past top-down *)
-  bu_json_small : int list;  (* CI smoke scales *)
-  bu_script : int -> Gdp_logic.Bottom_up.update list;
-      (* engine-incr update script at a given scale *)
-  bu_point : int -> Gdp_logic.Term.t;
-      (* point goal for the engine-magic series, per scale. For the
-         right-recursive reach closure, binding the SECOND argument keeps
-         the magic set at the query constant (binding the first would
-         propagate magic facts across every reachable node); the target
-         is the backbone's last node so the top-down leg can also prove
-         each answer by marching forward instead of exhausting the
-         forward cone. The terrain goal binds the FIRST argument: its
-         magic set is the downhill cone of one cell, the classic
-         "descendants of a node" restriction. *)
-  bu_point_doc : string;
-      (* display form of the point goal (Term.to_string would leak fresh
-         variable ids into the JSON) *)
-}
-
 (* Per-workload update scripts for the engine-incr series: mostly fresh
    facts asserted and then retracted again (net-neutral round trips that
    exercise both the insertion deltas and DRed), plus retract/re-assert
@@ -883,519 +1035,73 @@ let incr_script_terrain n =
          in
          [ `Assert f; `Retract f ]))
 
-let bu_workloads =
+(* What the series ask of the three shared engine programs, beyond a base
+   at a given scale. *)
+type program = {
+  db : int -> Gdp_logic.Database.t;
+  closure : T.t;
+      (* all-answers goal: engine-bu re-proves a sample of its derived
+         atoms top-down *)
+  point : int -> T.t;
+      (* point goal for engine-magic, per scale. For the right-recursive
+         reach closure, binding the SECOND argument keeps the magic set at
+         the query constant (binding the first would propagate magic facts
+         across every reachable node); the target is the backbone's last
+         node so the top-down leg can also prove each answer by marching
+         forward instead of exhausting the forward cone. The terrain goal
+         binds the FIRST argument: its magic set is the downhill cone of
+         one cell, the classic "descendants of a node" restriction. *)
+  point_doc : string;
+      (* display form of the point goal (Term.to_string would leak fresh
+         variable ids into the JSON) *)
+  script : int -> Gdp_logic.Bottom_up.update list;  (* engine-incr updates *)
+}
+
+let programs =
   [
     {
-      bu_name = "roads-reach";
-      bu_title = "engine-bu roads — reach = transitive closure of link";
-      bu_db = bu_roads_db;
-      bu_goal = T.app "reach" [ v "X"; v "Y" ];
-      bu_console_sizes = [ 16; 32; 64 ];
-      bu_json_sizes = [ 40; 160; 640 ];
-      bu_json_small = [ 16; 64 ];
-      bu_script = incr_script_roads;
-      bu_point =
-        (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "n%d" (n - 1)) ]);
-      bu_point_doc = "reach(X, n<scale-1>)";
+      name = "roads-reach";
+      sizes = [ 40; 160; 640 ];
+      small = [ 16; 64 ];
+      input =
+        {
+          db = bu_roads_db;
+          closure = T.app "reach" [ v "X"; v "Y" ];
+          point =
+            (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "n%d" (n - 1)) ]);
+          point_doc = "reach(X, n<scale-1>)";
+          script = incr_script_roads;
+        };
     };
     {
-      bu_name = "census-negation";
-      bu_title = "engine-bu census — negation as failure over a lower stratum";
-      bu_db = bu_census_db;
-      bu_goal = T.app "state_without_capital" [ v "S" ];
-      bu_console_sizes = [ 100; 200; 400 ];
-      bu_json_sizes = [ 400; 1600; 3200 ];
-      bu_json_small = [ 100; 400 ];
-      bu_script = incr_script_census;
-      bu_point = (fun _ -> T.app "state_without_capital" [ a "s0" ]);
-      bu_point_doc = "state_without_capital(s0)";
+      name = "census-negation";
+      sizes = [ 400; 1600; 3200 ];
+      small = [ 100; 400 ];
+      input =
+        {
+          db = bu_census_db;
+          closure = T.app "state_without_capital" [ v "S" ];
+          point = (fun _ -> T.app "state_without_capital" [ a "s0" ]);
+          point_doc = "state_without_capital(s0)";
+          script = incr_script_census;
+        };
     };
     {
-      bu_name = "terrain-flows";
-      bu_title = "engine-bu terrain — downhill flow closure with < guards";
-      bu_db = bu_terrain_db;
-      bu_goal = T.app "flows" [ v "A"; v "B" ];
-      bu_console_sizes = [ 4; 6; 8 ];
-      bu_json_sizes = [ 6; 10; 14 ];
-      bu_json_small = [ 4; 8 ];
-      bu_script = incr_script_terrain;
-      bu_point =
-        (fun n ->
-          T.app "flows" [ a (Printf.sprintf "t%d_%d" (n / 2) (n / 2)); v "B" ]);
-      bu_point_doc = "flows(t<scale/2>_<scale/2>, B)";
+      name = "terrain-flows";
+      sizes = [ 6; 10; 14 ];
+      small = [ 4; 8 ];
+      input =
+        {
+          db = bu_terrain_db;
+          closure = T.app "flows" [ v "A"; v "B" ];
+          point =
+            (fun n ->
+              T.app "flows" [ a (Printf.sprintf "t%d_%d" (n / 2) (n / 2)); v "B" ]);
+          point_doc = "flows(t<scale/2>_<scale/2>, B)";
+          script = incr_script_terrain;
+        };
     };
   ]
-
-(* One scan-vs-indexed measurement: the semi-naive evaluator with joins
-   forced to full-relation scans in textual order (the PR 1 baseline,
-   minus its O(log n) set overhead) against the index-driven planner. *)
-type bu_row = {
-  br_scale : int;
-  br_facts : int;
-  br_passes : int;
-  br_scan_ms : float;
-  br_scan_firings : int;
-  br_indexed_ms : float;
-  br_indexed_firings : int;
-  br_agree : bool;
-  br_stats : Gdp_logic.Bottom_up.stats;  (** of the indexed run *)
-}
-
-let bu_measure db scale =
-  let open Gdp_logic in
-  let scan_ms, scan_fp =
-    time_ms (fun () ->
-        Bottom_up.run
-          ~config:{ Bottom_up.Config.default with indexing = false }
-          db)
-  in
-  let idx_ms, idx_fp = time_ms (fun () -> Bottom_up.run db) in
-  {
-    br_scale = scale;
-    br_facts = Bottom_up.count idx_fp;
-    br_passes = Bottom_up.iterations idx_fp;
-    br_scan_ms = scan_ms;
-    br_scan_firings = Bottom_up.rule_firings scan_fp;
-    br_indexed_ms = idx_ms;
-    br_indexed_firings = Bottom_up.rule_firings idx_fp;
-    br_agree =
-      Bottom_up.count scan_fp = Bottom_up.count idx_fp
-      && List.equal Term.equal (Bottom_up.facts scan_fp)
-           (Bottom_up.facts idx_fp);
-    br_stats = Bottom_up.stats idx_fp;
-  }
-
-let bu_speedup r = r.br_scan_ms /. Float.max 0.01 r.br_indexed_ms
-
-(* scan vs indexed bottom-up vs top-down SLDNF on recursive / negation /
-   guarded workloads at growing scale — the quantification of the
-   "Prolog's computational inefficiency" the paper only mentions. The
-   top-down column proves a sample of the derived atoms (up to 100) with
-   the ancestor loop check on; "agree" additionally checks both fixpoint
-   configurations derive identical fact sets. *)
-let engine_bu () =
-  let open Gdp_logic in
-  let topdown_options = { Solve.default_options with Solve.loop_check = true } in
-  let probe db facts =
-    let n = List.length facts in
-    let step = max 1 (n / 100) in
-    let sample = List.filteri (fun i _ -> i mod step = 0) facts in
-    let ms, ok =
-      time_ms (fun () ->
-          List.for_all
-            (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
-            sample)
-    in
-    (ms, List.length sample, ok)
-  in
-  List.iter
-    (fun w ->
-      section w.bu_title;
-      row "  %8s %10s %8s %10s %8s %8s %14s  %s\n" "scale" "scan_ms" "s_fire"
-        "idx_ms" "i_fire" "speedup" "topdown_ms" "agree";
-      List.iter
-        (fun scale ->
-          let db = w.bu_db scale in
-          let r = bu_measure db scale in
-          let idx_fp = Bottom_up.run db in
-          let derived = Bottom_up.facts_matching idx_fp w.bu_goal in
-          let td_ms, n_probes, td_ok = probe db derived in
-          let agree = r.br_agree && td_ok in
-          row "  %8d %10.1f %8d %10.1f %8d %7.1fx %10.1f/%-3d  %s\n" scale
-            r.br_scan_ms r.br_scan_firings r.br_indexed_ms
-            r.br_indexed_firings (bu_speedup r) td_ms n_probes
-            (if agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
-(* ------------------------------------- engine-incr: view maintenance *)
-
-(* One incremental-vs-recompute measurement: the same update script is
-   applied one fact at a time to a live fixpoint (Bottom_up.apply:
-   semi-naive deltas + DRed) and, against a second identically seeded
-   database, by mutating the base and re-running the whole fixpoint from
-   scratch after every step — the cost a system without view maintenance
-   pays. The two must end on identical fact sets. *)
-type incr_row = {
-  ir_scale : int;
-  ir_facts : int;  (* facts in the maintained store after the script *)
-  ir_updates : int;
-  ir_incr_ms : float;
-  ir_recompute_ms : float;
-  ir_agree : bool;
-  ir_stats : Gdp_logic.Bottom_up.incr_stats;
-}
-
-let incr_measure w scale =
-  let open Gdp_logic in
-  let script = w.bu_script scale in
-  let live = w.bu_db scale in
-  let mirror = w.bu_db scale in
-  (* same seed, identical base *)
-  let fp = Bottom_up.run live in
-  let incr_ms, () =
-    time_ms (fun () -> List.iter (fun u -> Bottom_up.apply fp [ u ]) script)
-  in
-  let apply_mirror u =
-    match u with
-    | `Assert t ->
-        if not (Database.has_fact mirror t) then Database.fact mirror t
-    | `Retract t ->
-        (* the workload builders may seed duplicate unit clauses; drop
-           them all so the clause store matches the fixpoint's set view *)
-        while Database.retract_fact mirror t do
-          ()
-        done
-  in
-  let recompute_ms, last_fp =
-    time_ms (fun () ->
-        List.fold_left
-          (fun _ u ->
-            apply_mirror u;
-            Some (Bottom_up.run mirror))
-          None script)
-  in
-  let agree =
-    match last_fp with
-    | Some fresh ->
-        List.equal Term.equal (Bottom_up.facts fp) (Bottom_up.facts fresh)
-    | None -> true
-  in
-  {
-    ir_scale = scale;
-    ir_facts = Bottom_up.count fp;
-    ir_updates = List.length script;
-    ir_incr_ms = incr_ms;
-    ir_recompute_ms = recompute_ms;
-    ir_agree = agree;
-    ir_stats = Bottom_up.incr_stats fp;
-  }
-
-let incr_speedup r = r.ir_recompute_ms /. Float.max 0.001 r.ir_incr_ms
-
-let engine_incr () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-incr %s — incremental maintenance vs recompute"
-           w.bu_name);
-      row "  %8s %8s %8s %10s %14s %8s  %s\n" "scale" "facts" "updates"
-        "incr_ms" "recompute_ms" "speedup" "agree";
-      List.iter
-        (fun scale ->
-          let r = incr_measure w scale in
-          row "  %8d %8d %8d %10.2f %14.2f %7.1fx  %s\n" r.ir_scale r.ir_facts
-            r.ir_updates r.ir_incr_ms r.ir_recompute_ms (incr_speedup r)
-            (if r.ir_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
-(* ---------------------------------- engine-magic: goal-directed eval *)
-
-(* One magic-vs-full-vs-top-down measurement on a point goal. "Derived"
-   counts are IDB tuples of the *original* program only, so the magic
-   column pays for its magic$ guard tuples separately (mr_magic_aux) and
-   the goal-direction claim is not flattered by copied base facts. The
-   top-down column proves every answer of the full fixpoint with the
-   ancestor loop check on, as in engine-bu. *)
-type magic_row = {
-  mr_scale : int;
-  mr_full_ms : float;
-  mr_full_derived : int;
-  mr_magic_ms : float;  (* rewrite + seeded fixpoint, together *)
-  mr_magic_derived : int;
-  mr_magic_aux : int;  (* magic$ guard tuples, seeds included *)
-  mr_topdown_ms : float;
-  mr_topdown_probes : int;  (* sampled answers re-proved by SLD *)
-  mr_answers : int;
-  mr_agree : bool;
-  mr_fallback_strata : int;
-  mr_full_fallback : bool;
-}
-
-let idb_preds db =
-  let open Gdp_logic in
-  Database.predicates db
-  |> List.filter (fun key ->
-         List.exists
-           (fun (c : Database.clause) -> c.Database.body <> [])
-           (Database.all_clauses db key))
-  |> List.map fst
-
-let count_facts pred_names fp =
-  Gdp_logic.Bottom_up.facts fp
-  |> List.filter (fun t ->
-         match Gdp_logic.Term.functor_of t with
-         | Some (name, _) -> List.mem name pred_names
-         | None -> false)
-  |> List.length
-
-let magic_measure w scale =
-  let open Gdp_logic in
-  let db = w.bu_db scale in
-  let idb = idb_preds db in
-  let goal = w.bu_point scale in
-  let full_ms, full_fp = time_ms (fun () -> Bottom_up.run db) in
-  let magic_ms, (magic_fp, info) =
-    time_ms (fun () ->
-        let rewritten, info = Magic.rewrite ~goal db in
-        (Bottom_up.run ~seed:info.Magic.seeds rewritten, info))
-  in
-  let answers fp =
-    (* probe narrows to the goal's bucket; it does not unify — filter *)
-    Bottom_up.probe fp goal
-    |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
-    |> List.sort Term.compare
-  in
-  let full_answers = answers full_fp in
-  let magic_answers = answers magic_fp in
-  let full_derived = count_facts idb full_fp in
-  let topdown_options = { Solve.default_options with Solve.loop_check = true } in
-  (* The magic-vs-full comparison is exact over every answer; the SLD leg
-     is a deterministic sample — each ground probe costs O(path) clause
-     expansions with an O(depth) ancestor scan apiece.  On the dense cyclic
-     closures (the road grids grow random shortcut links that point either
-     way) SLDNF enumerates simple paths, so past ~50k derived tuples even a
-     handful of probes dwarfs both fixpoints — that blow-up is the point of
-     the magic experiment, not a useful control, so the leg only runs where
-     top-down search is feasible and reports how many probes it took. *)
-  let td_targets =
-    if full_derived > 50_000 then []
-    else
-      let n = List.length full_answers in
-      let k = 24 in
-      if n <= k then full_answers
-      else
-        let stride = n / k in
-        List.filteri (fun i _ -> i mod stride = 0 || i = n - 1) full_answers
-  in
-  let td_ms, td_ok =
-    time_ms (fun () ->
-        List.for_all
-          (fun f -> Solve.succeeds ~options:topdown_options db [ f ])
-          td_targets)
-  in
-  let magic_aux =
-    Bottom_up.facts magic_fp
-    |> List.filter (fun t ->
-           match Term.functor_of t with
-           | Some (name, _) ->
-               String.length name >= 6 && String.equal (String.sub name 0 6) "magic$"
-           | None -> false)
-    |> List.length
-  in
-  {
-    mr_scale = scale;
-    mr_full_ms = full_ms;
-    mr_full_derived = full_derived;
-    mr_magic_ms = magic_ms;
-    mr_magic_derived = count_facts idb magic_fp;
-    mr_magic_aux = magic_aux;
-    mr_topdown_ms = td_ms;
-    mr_topdown_probes = List.length td_targets;
-    mr_answers = List.length full_answers;
-    mr_agree = List.equal Term.equal full_answers magic_answers && td_ok;
-    mr_fallback_strata = info.Magic.fallback_strata;
-    mr_full_fallback = info.Magic.full_fallback;
-  }
-
-let magic_ratio r =
-  float_of_int r.mr_magic_derived /. float_of_int (max 1 r.mr_full_derived)
-
-let engine_magic () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-magic %s — goal-directed vs full vs top-down"
-           w.bu_name);
-      row "  %8s %10s %10s %10s %10s %6s %8s %11s %8s  %s\n" "scale" "full_ms"
-        "full_idb" "magic_ms" "magic_idb" "aux" "ratio" "topdown_ms" "answers"
-        "agree";
-      List.iter
-        (fun scale ->
-          let r = magic_measure w scale in
-          row "  %8d %10.1f %10d %10.1f %10d %6d %7.1f%% %11.1f %8d  %s%s\n"
-            r.mr_scale r.mr_full_ms r.mr_full_derived r.mr_magic_ms
-            r.mr_magic_derived r.mr_magic_aux
-            (100.0 *. magic_ratio r)
-            r.mr_topdown_ms r.mr_answers
-            (if r.mr_agree then "yes" else "DISAGREE")
-            (if r.mr_fallback_strata > 0 then
-               Printf.sprintf "  (fallback strata: %d)" r.mr_fallback_strata
-             else ""))
-        w.bu_console_sizes)
-    bu_workloads
-
-(* -------------------------------- engine-par: multicore fixpoint *)
-
-(* One sequential-vs-parallel measurement: the same database evaluated
-   by the sequential engine and by the domain-pool engine at each jobs
-   value. The derived fact sets must be identical (the merge is
-   canonical); the speedup columns are honest wall-clock, so on a
-   single-core machine they hover around (or below) 1x — the detected
-   core count is printed and recorded so consumers can gate on it. *)
-let par_jobs = [ 2; 4 ]
-
-type par_run = {
-  pj_jobs : int;
-  pj_ms : float;
-  pj_units : int;  (* (rule x delta-partition) work units executed *)
-}
-
-type par_row = {
-  pr_scale : int;
-  pr_facts : int;
-  pr_seq_ms : float;
-  pr_runs : par_run list;
-  pr_agree : bool;  (* every parallel fact set equals the sequential one *)
-}
-
-let par_measure w scale =
-  let open Gdp_logic in
-  let db = w.bu_db scale in
-  let seq_ms, seq_fp = time_ms (fun () -> Bottom_up.run db) in
-  let runs =
-    List.map
-      (fun jobs ->
-        let ms, fp =
-          time_ms (fun () ->
-              Bottom_up.run ~config:{ Bottom_up.Config.default with jobs } db)
-        in
-        (jobs, ms, fp))
-      par_jobs
-  in
-  {
-    pr_scale = scale;
-    pr_facts = Bottom_up.count seq_fp;
-    pr_seq_ms = seq_ms;
-    pr_runs =
-      List.map
-        (fun (jobs, ms, fp) ->
-          {
-            pj_jobs = jobs;
-            pj_ms = ms;
-            pj_units = (Bottom_up.stats fp).Bottom_up.bu_par_units;
-          })
-        runs;
-    pr_agree =
-      List.for_all
-        (fun (_, _, fp) ->
-          List.equal Term.equal (Bottom_up.facts seq_fp) (Bottom_up.facts fp))
-        runs;
-  }
-
-let par_speedup r run = r.pr_seq_ms /. Float.max 0.01 run.pj_ms
-
-let engine_par () =
-  let cores = Gdp_logic.Pool.auto_jobs () in
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf
-           "engine-par %s — parallel semi-naive fixpoint (%d core%s detected)"
-           w.bu_name cores
-           (if cores = 1 then "" else "s"));
-      row "  %8s %8s %10s" "scale" "facts" "seq_ms";
-      List.iter
-        (fun jobs -> row " %9s %8s" (Printf.sprintf "j%d_ms" jobs) "speedup")
-        par_jobs;
-      row " %8s  %s\n" "units" "agree";
-      List.iter
-        (fun scale ->
-          let r = par_measure w scale in
-          row "  %8d %8d %10.1f" r.pr_scale r.pr_facts r.pr_seq_ms;
-          List.iter
-            (fun run -> row " %9.1f %7.2fx" run.pj_ms (par_speedup r run))
-            r.pr_runs;
-          let units =
-            match r.pr_runs with run :: _ -> run.pj_units | [] -> 0
-          in
-          row " %8d  %s\n" units (if r.pr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
-(* -------------------------------- engine-prov: lineage overhead *)
-
-(* One lineage-on vs lineage-off measurement on the same database. The
-   sidecar must be a pure observer: the derived fact set and every
-   evaluation counter (passes, firings) have to be identical, every
-   sampled derived tuple must reconstruct a proof from its witness, and
-   the wall-clock overhead is the price of one witness record per
-   derived tuple. *)
-type prov_row = {
-  vr_scale : int;
-  vr_facts : int;
-  vr_off_ms : float;
-  vr_on_ms : float;
-  vr_tracked : int;  (* derived tuples carrying a witness *)
-  vr_bytes : int;  (* approximate witness-store footprint *)
-  vr_proofs : int;  (* sampled tuples asked to reconstruct *)
-  vr_agree : bool;
-}
-
-let prov_measure w scale =
-  let open Gdp_logic in
-  let db = w.bu_db scale in
-  (* best of two: the per-run wall-clock at the small CI scales is a few
-     milliseconds, and the overhead ratio gates the build — one warm-up
-     swallows the allocator/GC noise a single sample would report *)
-  let best run =
-    let ms1, fp = time_ms run in
-    let ms2, fp2 = time_ms run in
-    if ms2 < ms1 then (ms2, fp2) else (ms1, fp)
-  in
-  let off_ms, off_fp = best (fun () -> Bottom_up.run db) in
-  let on_ms, on_fp =
-    best (fun () ->
-        Bottom_up.run ~config:{ Bottom_up.Config.default with lineage = true } db)
-  in
-  let s_off = Bottom_up.stats off_fp and s_on = Bottom_up.stats on_fp in
-  (* sample up to 100 derived (witnessed) tuples and reconstruct *)
-  let derived =
-    List.filter (fun t -> Bottom_up.witness on_fp t <> None)
-      (Bottom_up.facts on_fp)
-  in
-  let step = max 1 (List.length derived / 100) in
-  let sample = List.filteri (fun i _ -> i mod step = 0) derived in
-  let proofs_ok =
-    List.for_all (fun t -> Bottom_up.proof on_fp t <> None) sample
-  in
-  let p = (Bottom_up.stats on_fp).Bottom_up.bu_prov in
-  {
-    vr_scale = scale;
-    vr_facts = Bottom_up.count on_fp;
-    vr_off_ms = off_ms;
-    vr_on_ms = on_ms;
-    vr_tracked = p.Bottom_up.prov_tracked;
-    vr_bytes = p.Bottom_up.prov_bytes;
-    vr_proofs = List.length sample;
-    vr_agree =
-      List.equal Term.equal (Bottom_up.facts off_fp) (Bottom_up.facts on_fp)
-      && s_off.Bottom_up.bu_passes = s_on.Bottom_up.bu_passes
-      && s_off.Bottom_up.bu_firings = s_on.Bottom_up.bu_firings
-      && proofs_ok;
-  }
-
-let prov_overhead r = r.vr_on_ms /. Float.max 0.01 r.vr_off_ms
-
-let engine_prov () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-prov %s — lineage capture overhead" w.bu_name);
-      row "  %8s %8s %10s %10s %9s %9s %10s %8s  %s\n" "scale" "facts"
-        "off_ms" "on_ms" "overhead" "tracked" "bytes" "proofs" "agree";
-      List.iter
-        (fun scale ->
-          let r = prov_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %8.2fx %9d %10d %8d  %s\n" r.vr_scale
-            r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r) r.vr_tracked
-            r.vr_bytes r.vr_proofs
-            (if r.vr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    bu_workloads
-
-(* ----------------------------------- engine-spatial: R-tree joins *)
 
 (* Spatial self-join workloads: point-carrying EDB facts joined under a
    region_mem or bounded pt_dist guard — exactly the joins the spatial
@@ -1479,132 +1185,41 @@ let sp_hydro_db n =
     |};
   db
 
-type sp_workload = {
-  sp_name : string;
-  sp_title : string;
-  sp_db : int -> Gdp_logic.Database.t;
-  sp_hints : Spec.t;  (* carries the regions the guards name *)
-  sp_console_sizes : int list;
-  sp_json_sizes : int list;
-  sp_json_small : int list;
-}
-
-let sp_workloads =
+(* a spatial base builder, with the regions its guards name *)
+let spatial_workloads =
   [
     {
-      sp_name = "roads-near";
-      sp_title = "engine-spatial roads — bounded pt_dist self-join over sites";
-      sp_db = sp_roads_db;
-      sp_hints = sp_spec ~regions:[];
-      sp_console_sizes = [ 160; 320; 640 ];
-      sp_json_sizes = [ 320; 640; 1280 ];
-      sp_json_small = [ 160; 640 ];
+      name = "roads-near";
+      sizes = [ 320; 640; 1280 ];
+      small = [ 160; 640 ];
+      input = (sp_roads_db, []);
     };
     {
-      sp_name = "terrain-basin";
-      sp_title =
-        "engine-spatial terrain — region_mem filter + bounded pt_dist join";
-      sp_db = sp_terrain_db;
-      sp_hints =
-        sp_spec
-          ~regions:
-            [
-              ( "basin",
-                Gdp_space.Region.circle
-                  ~center:(Gdp_space.Point.make 50.0 50.0)
-                  ~radius:20.0 );
-            ];
-      sp_console_sizes = [ 16; 24; 32 ];
-      sp_json_sizes = [ 24; 32; 48 ];
-      sp_json_small = [ 16; 32 ];
+      name = "terrain-basin";
+      sizes = [ 24; 32; 48 ];
+      small = [ 16; 32 ];
+      input =
+        ( sp_terrain_db,
+          [
+            ( "basin",
+              Gdp_space.Region.circle
+                ~center:(Gdp_space.Point.make 50.0 50.0)
+                ~radius:20.0 );
+          ] );
     };
     {
-      sp_name = "hydro-gauges";
-      sp_title =
-        "engine-spatial hydro — clustered gauges, pt_dist links + floodplain";
-      sp_db = sp_hydro_db;
-      sp_hints =
-        sp_spec
-          ~regions:
-            [
-              ( "floodplain",
-                Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
-                  ~max_y:100.0 );
-            ];
-      sp_console_sizes = [ 200; 400; 800 ];
-      sp_json_sizes = [ 400; 800; 1600 ];
-      sp_json_small = [ 200; 800 ];
+      name = "hydro-gauges";
+      sizes = [ 400; 800; 1600 ];
+      small = [ 200; 800 ];
+      input =
+        ( sp_hydro_db,
+          [
+            ( "floodplain",
+              Gdp_space.Region.rect ~min_x:30.0 ~min_y:0.0 ~max_x:70.0
+                ~max_y:100.0 );
+          ] );
     };
   ]
-
-type sp_row = {
-  xr_scale : int;
-  xr_facts : int;
-  xr_scan_ms : float;
-  xr_rtree_ms : float;
-  xr_probes : int;  (* of the R-tree run *)
-  xr_baseline_spatial_scans : int;  (* spatial scans of the baseline run *)
-  xr_agree : bool;
-}
-
-let sp_measure w scale =
-  let open Gdp_logic in
-  let db = w.sp_db scale in
-  let spatial = Compile.spatial_hints w.sp_hints in
-  let scan_ms, scan_fp =
-    time_ms (fun () ->
-        Bottom_up.run
-          ~config:{ Bottom_up.Config.default with spatial_indexing = false }
-          ~spatial db)
-  in
-  let rtree_ms, rtree_fp = time_ms (fun () -> Bottom_up.run ~spatial db) in
-  {
-    xr_scale = scale;
-    xr_facts = Bottom_up.count rtree_fp;
-    xr_scan_ms = scan_ms;
-    xr_rtree_ms = rtree_ms;
-    xr_probes = (Bottom_up.stats rtree_fp).Bottom_up.bu_spatial_probes;
-    xr_baseline_spatial_scans =
-      (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans;
-    xr_agree =
-      List.equal Term.equal (Bottom_up.facts scan_fp) (Bottom_up.facts rtree_fp);
-  }
-
-let sp_speedup r = r.xr_scan_ms /. Float.max 0.01 r.xr_rtree_ms
-
-let engine_spatial () =
-  List.iter
-    (fun w ->
-      section w.sp_title;
-      row "  %8s %8s %10s %10s %8s %8s %11s  %s\n" "scale" "facts" "scan_ms"
-        "rtree_ms" "speedup" "probes" "base_scans" "agree";
-      List.iter
-        (fun scale ->
-          let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %7.1fx %8d %11d  %s\n" r.xr_scale
-            r.xr_facts r.xr_scan_ms r.xr_rtree_ms (sp_speedup r) r.xr_probes
-            r.xr_baseline_spatial_scans
-            (if r.xr_agree then "yes" else "DISAGREE"))
-        w.sp_console_sizes)
-    sp_workloads
-
-(* ------------------------------------ engine-snap: persistent snapshots *)
-
-(* One cold-vs-warm measurement: the full semi-naive materialisation of a
-   workload's base (what every CLI invocation paid before snapshots)
-   against Snapshot.load + Bottom_up.import of the same model persisted
-   to disk — deserialise, re-intern, re-index, fire no rules. "agree"
-   asserts the loaded fixpoint is indistinguishable: identical fact sets
-   and restored pass counts. *)
-type snap_row = {
-  zr_scale : int;
-  zr_facts : int;
-  zr_bytes : int;
-  zr_cold_ms : float;
-  zr_save_ms : float;
-  zr_warm_ms : float;
-  zr_agree : bool;
-}
 
 (* Dense closure: the snapshot showcase. A random digraph with mean
    out-degree ~9 saturates its reachability closure, so semi-naive pays
@@ -1633,371 +1248,432 @@ let snap_dense_db n =
   db
 
 let snap_workloads =
-  bu_workloads
+  List.map (fun w -> { w with input = w.input.db }) programs
   @ [
       {
-        bu_name = "roads-dense";
-        bu_title = "engine-snap dense roads — saturated reachability closure";
-        bu_db = snap_dense_db;
-        bu_goal = T.app "reach" [ v "X"; v "Y" ];
-        bu_console_sizes = [ 16; 32; 64 ];
-        bu_json_sizes = [ 24; 64; 96 ];
-        bu_json_small = [ 24; 64 ];
-        bu_script = (fun _ -> []);
-        bu_point =
-          (fun n -> T.app "reach" [ v "X"; a (Printf.sprintf "d%d" (n - 1)) ]);
-        bu_point_doc = "reach(X, d<scale-1>)";
+        name = "roads-dense";
+        sizes = [ 24; 64; 96 ];
+        small = [ 24; 64 ];
+        input = snap_dense_db;
       };
     ]
 
-(* Both legs are timed best-of-3: the numbers feed a CI ratio gate, and
-   single-shot wall-clock readings on shared runners swing by 2x with
-   allocator and machine noise. The cold leg times database construction
-   plus materialisation (what every CLI invocation paid before
-   snapshots); the warm leg times Snapshot.load + Bottom_up.import
-   against a database built outside the clock, since a snapshot consumer
-   pays spec compilation on both paths. *)
-let snap_reps = 3
+(* ------------------------------------------------ engine series: rows *)
 
-let snap_best leg =
-  let rec go best i =
-    if i = 0 then best
-    else
-      let ms, x = leg () in
-      let best =
-        match best with Some (b, _) when b <= ms -> best | _ -> Some (ms, x)
-      in
-      go best (i - 1)
-  in
-  match go None snap_reps with Some r -> r | None -> assert false
+let run db = Gdp_logic.Bottom_up.run db
+let default = Gdp_logic.Bottom_up.Config.default
+let same_facts fp fp' =
+  List.equal T.equal (Gdp_logic.Bottom_up.facts fp) (Gdp_logic.Bottom_up.facts fp')
 
-let snap_measure w scale =
+(* Scan vs indexed: the semi-naive evaluator with joins forced to
+   full-relation scans in textual order against the index-driven planner,
+   then a sample of the derived closure re-proved by top-down SLDNF — the
+   quantification of the "Prolog's computational inefficiency" the paper
+   only mentions. The SLD leg is skipped above 5,000 facts: on the cyclic
+   road closures SLDNF enumerates simple paths, and 24 probes at roads-160
+   (25,596 facts) do not finish in minutes. "agree" covers both fixpoint
+   configurations' fact sets and every SLD proof. *)
+let bu_row p scale =
   let open Gdp_logic in
-  let cold_ms, cold_fp =
-    snap_best (fun () -> time_ms (fun () -> Bottom_up.run (w.bu_db scale)))
+  let db = p.db scale in
+  let scan, scan_fp =
+    timed
+      ~setup:(fun () -> db)
+      (fun db -> Bottom_up.run ~config:{ default with indexing = false } db)
   in
+  let indexed, fp = timed ~setup:(fun () -> db) run in
+  let facts = Bottom_up.count fp in
+  let targets =
+    if facts > 5_000 then [] else sample (Bottom_up.facts_matching fp p.closure)
+  in
+  let topdown, sld_ok = sld_check db targets in
+  let s = Bottom_up.stats fp in
+  [
+    ("scale", Int scale);
+    ("facts", Int facts);
+    ("passes", Int (Bottom_up.iterations fp));
+    ("scan_ms", Ms scan);
+    ("scan_firings", Int (Bottom_up.rule_firings scan_fp));
+    ("indexed_ms", Ms indexed);
+    ("indexed_firings", Int (Bottom_up.rule_firings fp));
+    ("speedup", speedup scan indexed);
+    ("agree", Bool (same_facts scan_fp fp && sld_ok));
+    ("strata", Int s.Bottom_up.bu_strata);
+    ("probes", Int s.Bottom_up.bu_index_probes);
+    ("scans", Int s.Bottom_up.bu_full_scans);
+    ("membership_tests", Int s.Bottom_up.bu_membership_tests);
+    ("hcons_hit_rate", Num (Bottom_up.hcons_hit_rate s));
+    ("topdown_ms", Ms topdown);
+    ("topdown_probes", Int (List.length targets));
+    ( "stratum_ms",
+      List
+        (List.map (fun st -> Num st.Bottom_up.st_ms) s.Bottom_up.bu_strata_stats) );
+  ]
+
+(* Incremental vs recompute: the same update script applied one fact at
+   a time to a live fixpoint (Bottom_up.apply: semi-naive deltas + DRed)
+   and, against a second identically seeded database, by mutating the
+   base and re-running the whole fixpoint after every step — the cost a
+   system without view maintenance pays. Both must end on identical fact
+   sets. *)
+let incr_row p scale =
+  let open Gdp_logic in
+  let script = p.script scale in
+  let incremental, fp =
+    timed
+      ~setup:(fun () -> run (p.db scale))
+      (fun fp ->
+        List.iter (fun u -> Bottom_up.apply fp [ u ]) script;
+        fp)
+  in
+  let apply_mirror mirror = function
+    | `Assert t -> if not (Database.has_fact mirror t) then Database.fact mirror t
+    | `Retract t ->
+        (* the workload builders may seed duplicate unit clauses; drop
+           them all so the clause store matches the fixpoint's set view *)
+        while Database.retract_fact mirror t do
+          ()
+        done
+  in
+  let recompute, fresh =
+    timed
+      ~setup:(fun () -> p.db scale)
+      (fun mirror ->
+        List.fold_left
+          (fun _ u ->
+            apply_mirror mirror u;
+            Some (run mirror))
+          None script)
+  in
+  let i = Bottom_up.incr_stats fp in
+  [
+    ("scale", Int scale);
+    ("facts", Int (Bottom_up.count fp));
+    ("updates", Int (List.length script));
+    ("incremental_ms", Ms incremental);
+    ("recompute_ms", Ms recompute);
+    ("speedup", speedup recompute incremental);
+    ("agree", Bool (Option.fold ~none:true ~some:(same_facts fp) fresh));
+    ("inserted", Int i.Bottom_up.upd_inserted);
+    ("deleted", Int i.Bottom_up.upd_deleted);
+    ("overdeleted", Int i.Bottom_up.upd_overdeleted);
+    ("rederived", Int i.Bottom_up.upd_rederived);
+    ("strata_recomputed", Int i.Bottom_up.upd_strata_recomputed);
+  ]
+
+let idb_preds db =
+  let open Gdp_logic in
+  Database.predicates db
+  |> List.filter (fun key ->
+         List.exists
+           (fun (c : Database.clause) -> c.Database.body <> [])
+           (Database.all_clauses db key))
+  |> List.map fst
+
+let count_facts pred_names fp =
+  Gdp_logic.Bottom_up.facts fp
+  |> List.filter (fun t ->
+         match Gdp_logic.Term.functor_of t with
+         | Some (name, _) -> List.mem name pred_names
+         | None -> false)
+  |> List.length
+
+(* Magic vs full vs top-down on a point goal. "Derived" counts are IDB
+   tuples of the *original* program only, so the magic leg pays for its
+   magic$ guard tuples separately (magic_aux) and the goal-direction
+   claim is not flattered by copied base facts. The magic-vs-full
+   comparison is exact over every answer; the SLD leg re-proves a sample
+   of the answers, and only up to 50,000 derived tuples: past that even a
+   handful of probes on the dense cyclic closures dwarfs both fixpoints,
+   which is the point of the experiment, not a useful control. *)
+let magic_row p scale =
+  let open Gdp_logic in
+  let db = p.db scale in
+  let idb = idb_preds db in
+  let goal = p.point scale in
+  let full, full_fp = timed ~setup:(fun () -> db) run in
+  let magic, (magic_fp, info) =
+    timed
+      ~setup:(fun () -> db)
+      (fun db ->
+        let rewritten, info = Magic.rewrite ~goal db in
+        (Bottom_up.run ~seed:info.Magic.seeds rewritten, info))
+  in
+  let answers fp =
+    (* probe narrows to the goal's bucket; it does not unify — filter *)
+    Bottom_up.probe fp goal
+    |> List.filter (fun fact -> Unify.unify Subst.empty goal fact <> None)
+    |> List.sort Term.compare
+  in
+  let full_answers = answers full_fp in
+  let full_derived = count_facts idb full_fp in
+  let magic_derived = count_facts idb magic_fp in
+  let targets = if full_derived > 50_000 then [] else sample full_answers in
+  let topdown, sld_ok = sld_check db targets in
+  let magic_aux =
+    Bottom_up.facts magic_fp
+    |> List.filter (fun t ->
+           match Term.functor_of t with
+           | Some (name, _) -> String.starts_with ~prefix:"magic$" name
+           | None -> false)
+  in
+  [
+    ("scale", Int scale);
+    ("full_ms", Ms full);
+    ("full_derived", Int full_derived);
+    ("magic_ms", Ms magic);
+    ("magic_derived", Int magic_derived);
+    ("magic_aux", Int (List.length magic_aux));
+    ( "ratio",
+      Num (float_of_int magic_derived /. float_of_int (max 1 full_derived)) );
+    ("topdown_ms", Ms topdown);
+    ("topdown_probes", Int (List.length targets));
+    ("answers", Int (List.length full_answers));
+    ( "agree",
+      Bool (List.equal Term.equal full_answers (answers magic_fp) && sld_ok) );
+    ("fallback_strata", Int info.Magic.fallback_strata);
+    ("full_fallback", Bool info.Magic.full_fallback);
+  ]
+
+(* Sequential vs the domain-pool engine at each jobs value. The derived
+   fact sets must be identical (the merge is canonical); the speedups are
+   honest wall-clock, so on a machine with fewer cores they hover around
+   (or below) 1x — BENCH_engine.json records the detected core count. *)
+let par_jobs = [ 2; 4 ]
+
+let par_row p scale =
+  let open Gdp_logic in
+  let db = p.db scale in
+  let seq, seq_fp = timed ~setup:(fun () -> db) run in
+  let runs =
+    List.map
+      (fun jobs ->
+        let t, fp =
+          timed
+            ~setup:(fun () -> db)
+            (fun db -> Bottom_up.run ~config:{ default with jobs } db)
+        in
+        ( same_facts seq_fp fp,
+          Obj
+            [
+              ("jobs", Int jobs);
+              ("ms", Ms t);
+              ("speedup", speedup seq t);
+              (* (rule x delta-partition) work units executed *)
+              ("units", Int (Bottom_up.stats fp).Bottom_up.bu_par_units);
+            ] ))
+      par_jobs
+  in
+  [
+    ("scale", Int scale);
+    ("facts", Int (Bottom_up.count seq_fp));
+    ("seq_ms", Ms seq);
+    ("runs", List (List.map snd runs));
+    ("agree", Bool (List.for_all fst runs));
+  ]
+
+(* Lineage on vs off. The sidecar must be a pure observer: the derived
+   fact set and the pass and firing counts have to be identical, and a
+   sample of the derived tuples must reconstruct a proof from its
+   witness. The overhead is the price of one witness record per derived
+   tuple. *)
+let prov_row p scale =
+  let open Gdp_logic in
+  let db = p.db scale in
+  let off, off_fp = timed ~setup:(fun () -> db) run in
+  let on, on_fp =
+    timed
+      ~setup:(fun () -> db)
+      (fun db -> Bottom_up.run ~config:{ default with lineage = true } db)
+  in
+  let s_off = Bottom_up.stats off_fp and s_on = Bottom_up.stats on_fp in
+  let proofs =
+    sample
+      (List.filter
+         (fun t -> Bottom_up.witness on_fp t <> None)
+         (Bottom_up.facts on_fp))
+  in
+  let prov = s_on.Bottom_up.bu_prov in
+  [
+    ("scale", Int scale);
+    ("facts", Int (Bottom_up.count on_fp));
+    ("off_ms", Ms off);
+    ("on_ms", Ms on);
+    ("overhead", Num (on.median /. Float.max 0.001 off.median));
+    (* derived tuples carrying a witness, and the witness store's size *)
+    ("tracked", Int prov.Bottom_up.prov_tracked);
+    ("bytes", Int prov.Bottom_up.prov_bytes);
+    ("proofs_sampled", Int (List.length proofs));
+    ( "agree",
+      Bool
+        (same_facts off_fp on_fp
+        && s_off.Bottom_up.bu_passes = s_on.Bottom_up.bu_passes
+        && s_off.Bottom_up.bu_firings = s_on.Bottom_up.bu_firings
+        && List.for_all (fun t -> Bottom_up.proof on_fp t <> None) proofs) );
+  ]
+
+(* Scan baseline (spatial_indexing = false: every annotated join through
+   the hash/scan path) vs the default STR-packed R-trees. Both must derive
+   identical fact sets: the probes are pre-filters, the exact guard always
+   re-checks. *)
+let spatial_row (db, regions) scale =
+  let open Gdp_logic in
+  let db = db scale and spatial = Compile.spatial_hints (sp_spec ~regions) in
+  let scan, scan_fp =
+    timed
+      ~setup:(fun () -> db)
+      (fun db ->
+        Bottom_up.run
+          ~config:{ default with spatial_indexing = false }
+          ~spatial db)
+  in
+  let rtree, fp =
+    timed ~setup:(fun () -> db) (fun db -> Bottom_up.run ~spatial db)
+  in
+  [
+    ("scale", Int scale);
+    ("facts", Int (Bottom_up.count fp));
+    ("scan_ms", Ms scan);
+    ("rtree_ms", Ms rtree);
+    ("speedup", speedup scan rtree);
+    ("probes", Int (Bottom_up.stats fp).Bottom_up.bu_spatial_probes);
+    ( "baseline_spatial_scans",
+      Int (Bottom_up.stats scan_fp).Bottom_up.bu_spatial_scans );
+    ("agree", Bool (same_facts scan_fp fp));
+  ]
+
+(* Cold materialisation vs a snapshot load. The cold leg times database
+   construction plus the fixpoint — what every CLI invocation paid before
+   snapshots; the warm leg times Snapshot.load + Bottom_up.import into a
+   database built off the clock, since a snapshot consumer pays spec
+   compilation on both paths. "agree": the loaded fixpoint has the same
+   facts and pass count. *)
+let snap_row db scale =
+  let open Gdp_logic in
+  let cold, cold_fp = timed ~setup:ignore (fun () -> run (db scale)) in
   let path = Filename.temp_file "gdprs_snap" ".gdpx" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let save_ms, bytes =
-    time_ms (fun () ->
-        Snapshot.save ~path
-          {
-            Snapshot.key = "bench";
-            meta = "";
-            state = Bottom_up.export cold_fp;
-          })
+  let snapshot =
+    { Snapshot.key = "bench"; meta = ""; state = Bottom_up.export cold_fp }
   in
-  let warm_ms, warm_fp =
-    snap_best (fun () ->
-        (* a fresh identically seeded database: the import target a
-           second process would compile before loading *)
-        let warm_db = w.bu_db scale in
-        time_ms (fun () ->
-            let snap, _bytes = Snapshot.load ~path () in
-            Bottom_up.import warm_db snap.Snapshot.state))
+  let save, bytes = timed ~setup:ignore (fun () -> Snapshot.save ~path snapshot) in
+  let warm, warm_fp =
+    timed
+      ~setup:(fun () -> db scale)
+      (fun warm_db ->
+        let snap, _bytes = Snapshot.load ~path () in
+        Bottom_up.import warm_db snap.Snapshot.state)
   in
-  let sorted fp = List.sort Term.compare (Bottom_up.facts fp) in
-  {
-    zr_scale = scale;
-    zr_facts = Bottom_up.count warm_fp;
-    zr_bytes = bytes;
-    zr_cold_ms = cold_ms;
-    zr_save_ms = save_ms;
-    zr_warm_ms = warm_ms;
-    zr_agree =
-      Bottom_up.count cold_fp = Bottom_up.count warm_fp
-      && Bottom_up.iterations cold_fp = Bottom_up.iterations warm_fp
-      && List.equal Term.equal (sorted cold_fp) (sorted warm_fp);
-  }
+  [
+    ("scale", Int scale);
+    ("facts", Int (Bottom_up.count warm_fp));
+    ("bytes", Int bytes);
+    ("cold_ms", Ms cold);
+    ("save_ms", Ms save);
+    ("warm_ms", Ms warm);
+    ("speedup", speedup cold warm);
+    ( "agree",
+      Bool
+        (Bottom_up.count cold_fp = Bottom_up.count warm_fp
+        && Bottom_up.iterations cold_fp = Bottom_up.iterations warm_fp
+        && same_facts cold_fp warm_fp) );
+  ]
 
-let snap_speedup r = r.zr_cold_ms /. Float.max 0.01 r.zr_warm_ms
+(* ------------------------------------------------ engine series: table *)
 
-let engine_snap () =
-  List.iter
-    (fun w ->
-      section
-        (Printf.sprintf "engine-snap %s — cold materialise vs snapshot load"
-           w.bu_name);
-      row "  %8s %8s %10s %10s %10s %10s %8s  %s\n" "scale" "facts" "bytes"
-        "cold_ms" "save_ms" "warm_ms" "speedup" "agree";
-      List.iter
-        (fun scale ->
-          let r = snap_measure w scale in
-          row "  %8d %8d %10d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.zr_scale
-            r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms r.zr_warm_ms
-            (snap_speedup r)
-            (if r.zr_agree then "yes" else "DISAGREE"))
-        w.bu_console_sizes)
-    snap_workloads
+let series =
+  [
+    Series
+      {
+        name = "bu";
+        key = "series";
+        about = "scan vs indexed fixpoint, SLD cross-check";
+        workloads = programs;
+        attrs = no_attrs;
+        measure = bu_row;
+      };
+    Series
+      {
+        name = "incr";
+        key = "incr_series";
+        about = "incremental maintenance vs recompute";
+        workloads = programs;
+        attrs = no_attrs;
+        measure = incr_row;
+      };
+    Series
+      {
+        name = "magic";
+        key = "magic_series";
+        about = "goal-directed vs full vs top-down";
+        workloads = programs;
+        attrs = (fun p -> [ ("goal", Str p.point_doc) ]);
+        measure = magic_row;
+      };
+    Series
+      {
+        name = "par";
+        key = "parallel_series";
+        about =
+          Printf.sprintf "parallel semi-naive fixpoint (%d cores detected)"
+            (Gdp_logic.Pool.auto_jobs ());
+        workloads = programs;
+        attrs = no_attrs;
+        measure = par_row;
+      };
+    Series
+      {
+        name = "prov";
+        key = "prov_series";
+        about = "lineage capture overhead";
+        workloads = programs;
+        attrs = no_attrs;
+        measure = prov_row;
+      };
+    Series
+      {
+        name = "spatial";
+        key = "spatial_series";
+        about = "R-tree joins vs the scan baseline";
+        workloads = spatial_workloads;
+        attrs = no_attrs;
+        measure = spatial_row;
+      };
+    Series
+      {
+        name = "snap";
+        key = "snap_series";
+        about = "cold materialise vs snapshot load";
+        workloads = snap_workloads;
+        attrs = no_attrs;
+        measure = snap_row;
+      };
+  ]
 
-(* ------------------------------------------------- json: perf tracking *)
-
-(* `bench/main.exe -- json [small]` re-runs the engine-bu workloads as
-   scan-vs-indexed pairs (no top-down column, so the scales can grow
-   past what SLDNF probing tolerates) and writes BENCH_engine.json —
-   the machine-readable perf trajectory CI archives on every push. *)
-let bench_json ?(small = false) () =
+(* every engine series, written to BENCH_engine.json — the
+   machine-readable perf trajectory CI archives and compares against
+   bench/baseline_small.json *)
+let bench_json ~small () =
   let out = "BENCH_engine.json" in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"gdprs-bench-engine/1\",\n";
-  add "  \"bench\": \"engine-bu scan vs indexed (semi-naive fixpoint)\",\n";
-  add "  \"mode\": %S,\n" (if small then "small" else "full");
-  (* machine context: parallel speedups are only meaningful relative to
-     the core count the run actually had *)
-  add "  \"cores\": %d,\n" (Gdp_logic.Pool.auto_jobs ());
-  add "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  add "  \"jobs\": [%s],\n"
-    (String.concat ", " (List.map string_of_int par_jobs));
-  add "  \"series\": [\n";
-  let n_workloads = List.length bu_workloads in
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json %s" w.bu_title);
-      row "  %8s %10s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms" "idx_ms"
-        "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = bu_measure (w.bu_db scale) scale in
-          row "  %8d %10d %10.1f %10.1f %7.1fx  %s\n" r.br_scale r.br_facts
-            r.br_scan_ms r.br_indexed_ms (bu_speedup r)
-            (if r.br_agree then "yes" else "DISAGREE");
-          let s = r.br_stats in
-          let stratum_ms =
-            s.Gdp_logic.Bottom_up.bu_strata_stats
-            |> List.map (fun st ->
-                   Printf.sprintf "%.3f" st.Gdp_logic.Bottom_up.st_ms)
-            |> String.concat ", "
-          in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"passes\": %d, \
-             \"scan_ms\": %.3f, \"scan_firings\": %d, \"indexed_ms\": %.3f, \
-             \"indexed_firings\": %d, \"speedup\": %.2f, \"agree\": %b, \
-             \"strata\": %d, \"probes\": %d, \"scans\": %d, \
-             \"membership_tests\": %d, \"hcons_hit_rate\": %.4f, \
-             \"stratum_ms\": [%s] }%s\n"
-            r.br_scale r.br_facts r.br_passes r.br_scan_ms r.br_scan_firings
-            r.br_indexed_ms r.br_indexed_firings (bu_speedup r) r.br_agree
-            s.Gdp_logic.Bottom_up.bu_strata s.Gdp_logic.Bottom_up.bu_index_probes
-            s.Gdp_logic.Bottom_up.bu_full_scans
-            s.Gdp_logic.Bottom_up.bu_membership_tests
-            (Gdp_logic.Bottom_up.hcons_hit_rate s)
-            stratum_ms
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* the incremental-maintenance trajectory rides in its own top-level
-     key so consumers of "series" see the same shape as before *)
-  add "  \"incr_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-incr %s" w.bu_name);
-      row "  %8s %8s %8s %10s %14s %8s  %s\n" "scale" "facts" "updates"
-        "incr_ms" "recompute_ms" "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = incr_measure w scale in
-          row "  %8d %8d %8d %10.2f %14.2f %7.1fx  %s\n" r.ir_scale r.ir_facts
-            r.ir_updates r.ir_incr_ms r.ir_recompute_ms (incr_speedup r)
-            (if r.ir_agree then "yes" else "DISAGREE");
-          let i = r.ir_stats in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"updates\": %d, \
-             \"incremental_ms\": %.3f, \"recompute_ms\": %.3f, \
-             \"speedup\": %.2f, \"agree\": %b, \"inserted\": %d, \
-             \"deleted\": %d, \"overdeleted\": %d, \"rederived\": %d, \
-             \"strata_recomputed\": %d }%s\n"
-            r.ir_scale r.ir_facts r.ir_updates r.ir_incr_ms r.ir_recompute_ms
-            (incr_speedup r) r.ir_agree i.Gdp_logic.Bottom_up.upd_inserted
-            i.Gdp_logic.Bottom_up.upd_deleted
-            i.Gdp_logic.Bottom_up.upd_overdeleted
-            i.Gdp_logic.Bottom_up.upd_rederived
-            i.Gdp_logic.Bottom_up.upd_strata_recomputed
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* goal-directed evaluation: the magic-set rewrite against the full
-     fixpoint and a top-down probe on the same point goal *)
-  add "  \"magic_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-magic %s" w.bu_name);
-      row "  %8s %10s %10s %10s %10s %6s %8s  %s\n" "scale" "full_ms"
-        "full_idb" "magic_ms" "magic_idb" "aux" "ratio" "agree";
-      add "    {\n      \"name\": %S,\n      \"goal\": %S,\n      \"rows\": [\n"
-        w.bu_name w.bu_point_doc;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = magic_measure w scale in
-          row "  %8d %10.1f %10d %10.1f %10d %6d %7.1f%%  %s\n" r.mr_scale
-            r.mr_full_ms r.mr_full_derived r.mr_magic_ms r.mr_magic_derived
-            r.mr_magic_aux
-            (100.0 *. magic_ratio r)
-            (if r.mr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"full_ms\": %.3f, \"full_derived\": \
-             %d, \"magic_ms\": %.3f, \"magic_derived\": %d, \"magic_aux\": \
-             %d, \"ratio\": %.4f, \"topdown_ms\": %.3f, \"topdown_probes\": \
-             %d, \"answers\": %d, \"agree\": %b, \"fallback_strata\": %d, \
-             \"full_fallback\": %b }%s\n"
-            r.mr_scale r.mr_full_ms r.mr_full_derived r.mr_magic_ms
-            r.mr_magic_derived r.mr_magic_aux (magic_ratio r) r.mr_topdown_ms
-            r.mr_topdown_probes r.mr_answers r.mr_agree r.mr_fallback_strata
-            r.mr_full_fallback
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* the multicore fixpoint: sequential vs jobs=2/4 on the same base.
-     Speedups are honest wall-clock for this machine — gate any
-     assertion on the "cores" header field. *)
-  add "  \"parallel_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-par %s" w.bu_name);
-      row "  %8s %8s %10s" "scale" "facts" "seq_ms";
-      List.iter
-        (fun jobs -> row " %9s %8s" (Printf.sprintf "j%d_ms" jobs) "speedup")
-        par_jobs;
-      row "  %s\n" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = par_measure w scale in
-          row "  %8d %8d %10.1f" r.pr_scale r.pr_facts r.pr_seq_ms;
-          List.iter
-            (fun run -> row " %9.1f %7.2fx" run.pj_ms (par_speedup r run))
-            r.pr_runs;
-          row "  %s\n" (if r.pr_agree then "yes" else "DISAGREE");
-          let runs_json =
-            r.pr_runs
-            |> List.map (fun run ->
-                   Printf.sprintf
-                     "{ \"jobs\": %d, \"ms\": %.3f, \"speedup\": %.3f, \
-                      \"units\": %d }"
-                     run.pj_jobs run.pj_ms (par_speedup r run) run.pj_units)
-            |> String.concat ", "
-          in
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"seq_ms\": %.3f, \
-             \"runs\": [%s], \"agree\": %b }%s\n"
-            r.pr_scale r.pr_facts r.pr_seq_ms runs_json r.pr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* the why-provenance sidecar: lineage-on vs lineage-off on the same
-     base. "agree" asserts the sidecar observed without perturbing —
-     identical fact sets, pass and firing counts — and that sampled
-     witnesses reconstruct proofs. *)
-  add "  \"prov_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-prov %s" w.bu_name);
-      row "  %8s %8s %10s %10s %9s %9s %10s %8s  %s\n" "scale" "facts"
-        "off_ms" "on_ms" "overhead" "tracked" "bytes" "proofs" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = prov_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %8.2fx %9d %10d %8d  %s\n" r.vr_scale
-            r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r) r.vr_tracked
-            r.vr_bytes r.vr_proofs
-            (if r.vr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"off_ms\": %.3f, \
-             \"on_ms\": %.3f, \"overhead\": %.3f, \"tracked\": %d, \
-             \"bytes\": %d, \"proofs_sampled\": %d, \"agree\": %b }%s\n"
-            r.vr_scale r.vr_facts r.vr_off_ms r.vr_on_ms (prov_overhead r)
-            r.vr_tracked r.vr_bytes r.vr_proofs r.vr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_workloads - 1 then "," else ""))
-    bu_workloads;
-  add "  ],\n";
-  (* spatial-index joins: the scan baseline vs R-tree on the same base;
-     "agree" asserts both derive identical models *)
-  add "  \"spatial_series\": [\n";
-  let n_sp = List.length sp_workloads in
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.sp_json_small else w.sp_json_sizes in
-      section (Printf.sprintf "json %s" w.sp_title);
-      row "  %8s %8s %10s %10s %8s  %s\n" "scale" "facts" "scan_ms" "rtree_ms"
-        "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.sp_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = sp_measure w scale in
-          row "  %8d %8d %10.1f %10.1f %7.1fx  %s\n" r.xr_scale r.xr_facts
-            r.xr_scan_ms r.xr_rtree_ms (sp_speedup r)
-            (if r.xr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"scan_ms\": %.3f, \
-             \"rtree_ms\": %.3f, \"speedup\": %.2f, \"probes\": %d, \
-             \"baseline_spatial_scans\": %d, \"agree\": %b }%s\n"
-            r.xr_scale r.xr_facts r.xr_scan_ms r.xr_rtree_ms (sp_speedup r)
-            r.xr_probes r.xr_baseline_spatial_scans r.xr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n" (if wi < n_sp - 1 then "," else ""))
-    sp_workloads;
-  add "  ],\n";
-  (* persistent snapshots: cold materialisation vs Snapshot.load +
-     Bottom_up.import of the persisted model; "agree" asserts the loaded
-     fixpoint carries identical facts and pass counts *)
-  add "  \"snap_series\": [\n";
-  List.iteri
-    (fun wi w ->
-      let sizes = if small then w.bu_json_small else w.bu_json_sizes in
-      section (Printf.sprintf "json engine-snap %s" w.bu_name);
-      row "  %8s %8s %10s %10s %10s %10s %8s  %s\n" "scale" "facts" "bytes"
-        "cold_ms" "save_ms" "warm_ms" "speedup" "agree";
-      add "    {\n      \"name\": %S,\n      \"rows\": [\n" w.bu_name;
-      let n_sizes = List.length sizes in
-      List.iteri
-        (fun si scale ->
-          let r = snap_measure w scale in
-          row "  %8d %8d %10d %10.1f %10.1f %10.1f %7.1fx  %s\n" r.zr_scale
-            r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms r.zr_warm_ms
-            (snap_speedup r)
-            (if r.zr_agree then "yes" else "DISAGREE");
-          add
-            "        { \"scale\": %d, \"facts\": %d, \"bytes\": %d, \
-             \"cold_ms\": %.3f, \"save_ms\": %.3f, \"warm_ms\": %.3f, \
-             \"speedup\": %.2f, \"agree\": %b }%s\n"
-            r.zr_scale r.zr_facts r.zr_bytes r.zr_cold_ms r.zr_save_ms
-            r.zr_warm_ms (snap_speedup r) r.zr_agree
-            (if si < n_sizes - 1 then "," else ""))
-        sizes;
-      add "      ]\n    }%s\n"
-        (if wi < List.length snap_workloads - 1 then "," else ""))
-    snap_workloads;
-  add "  ]\n}\n";
+  let body =
+    List.map (fun (Series s as x) -> (s.key, List (run_series ~small x))) series
+  in
+  let header =
+    [
+      ("schema", Str "gdprs-bench-engine/2");
+      ("bench", Str "engine series: medians of timed repeats, with min and IQR");
+      ("mode", Str (if small then "small" else "full"));
+      (* parallel speedups are only meaningful relative to the core
+         count the run actually had *)
+      ("cores", Int (Gdp_logic.Pool.auto_jobs ()));
+      ("ocaml_version", Str Sys.ocaml_version);
+      ("jobs", List (List.map (fun j -> Int j) par_jobs));
+      ("reps", Int reps);
+    ]
+  in
   let oc = open_out out in
-  output_string oc (Buffer.contents buf);
+  output_string oc (json 0 (Obj (header @ body)) ^ "\n");
   close_out oc;
   Printf.printf "\nwrote %s\n" out
 
@@ -2009,53 +1685,34 @@ let reports =
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
   ]
 
+(* what a run without arguments does, in order *)
+let everything =
+  reports
+  @ [ ("ablation", ablation); ("micro", micro) ]
+  @ List.map
+      (fun (Series s as x) ->
+        ("engine-" ^ s.name, fun () -> ignore (run_series ~small:true x)))
+      series
+
+let commands =
+  everything
+  @ [
+      ("report", fun () -> List.iter (fun (_, run) -> run ()) reports);
+      ("json", bench_json ~small:false);
+      ("json small", bench_json ~small:true);
+    ]
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) reports;
-      ablation ();
-      micro ();
-      engine_bu ();
-      engine_incr ();
-      engine_magic ();
-      engine_par ();
-      engine_prov ();
-      engine_spatial ();
-      engine_snap ()
-  | [ "report" ] -> List.iter (fun (_, f) -> f ()) reports
-  | [ "micro" ] ->
-      micro ();
-      engine_bu ()
-  | [ "ablation" ] -> ablation ()
-  | [ "engine-bu" ] -> engine_bu ()
-  | [ "engine-incr" ] -> engine_incr ()
-  | [ "engine-magic" ] -> engine_magic ()
-  | [ "engine-par" ] -> engine_par ()
-  | [ "engine-prov" ] -> engine_prov ()
-  | [ "engine-spatial" ] -> engine_spatial ()
-  | [ "engine-snap" ] -> engine_snap ()
-  | [ "json" ] -> bench_json ()
-  | [ "json"; "small" ] -> bench_json ~small:true ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name reports with
-          | Some f -> f ()
-          | None when name = "micro" -> micro ()
-          | None when name = "ablation" -> ablation ()
-          | None when name = "engine-bu" -> engine_bu ()
-          | None when name = "engine-incr" -> engine_incr ()
-          | None when name = "engine-magic" -> engine_magic ()
-          | None when name = "engine-par" -> engine_par ()
-          | None when name = "engine-prov" -> engine_prov ()
-          | None when name = "engine-spatial" -> engine_spatial ()
-          | None when name = "engine-snap" -> engine_snap ()
-          | None ->
-              Printf.eprintf
-                "unknown experiment %s (e1..e12, report, ablation, micro, \
-                 engine-bu, engine-incr, engine-magic, engine-par, \
-                 engine-prov, engine-spatial, engine-snap, json [small])\n"
-                name;
-              exit 2)
-        names
+  let run names = List.iter (fun name -> List.assoc name commands ()) names in
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (_, f) -> f ()) everything
+  | args when List.mem_assoc (String.concat " " args) commands ->
+      run [ String.concat " " args ]
+  | args -> (
+      match List.filter (fun name -> not (List.mem_assoc name commands)) args with
+      | [] -> run args
+      | unknown ->
+          Printf.eprintf "unknown command %s (%s)\n"
+            (String.concat ", " unknown)
+            (String.concat ", " (List.map fst commands));
+          exit 2)

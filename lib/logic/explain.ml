@@ -202,22 +202,6 @@ let to_dot ?(pp_goal = Term.pp) proof =
   Buffer.contents buf
 
 let to_json ?(pp_goal = Term.pp) proof =
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let next = ref 0 in
   let nodes = Buffer.create 256 and edges = Buffer.create 256 in
   let n_edges = ref 0 in
@@ -226,8 +210,8 @@ let to_json ?(pp_goal = Term.pp) proof =
     incr next;
     if id > 0 then Buffer.add_char nodes ',';
     Buffer.add_string nodes
-      (Printf.sprintf "\n    { \"id\": %d, \"kind\": \"%s\", \"label\": \"%s\" }"
-         id kind (escape label));
+      (Printf.sprintf "\n    { \"id\": %d, \"kind\": \"%s\", \"label\": %s }"
+         id kind (Gdp_obs.Export.json_string label));
     id
   in
   let emit_edge src dst =

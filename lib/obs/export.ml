@@ -14,6 +14,11 @@ let buf_add_json_string buf s =
     s;
   Buffer.add_char buf '"'
 
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  buf_add_json_string buf s;
+  Buffer.contents buf
+
 let buf_add_arg buf = function
   | Tracer.Int n -> Buffer.add_string buf (string_of_int n)
   | Tracer.Float f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)

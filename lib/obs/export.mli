@@ -14,6 +14,11 @@
 
     Call {!Tracer.finish} before exporting so no span is still open. *)
 
+val json_string : string -> string
+(** [s] as a quoted JSON string literal: quote, backslash, newline, tab
+    and carriage return get their two-character escapes, other control
+    characters [\u00XX]; every other byte passes through unchanged. *)
+
 val chrome_trace : ?pid:int -> Tracer.t -> string
 (** The full trace as a JSON string. Always syntactically valid JSON;
     the [traceEvents] array is empty for a disabled tracer. *)

@@ -103,6 +103,12 @@ let test_json_escaping () =
   Alcotest.(check int) "quote escaped" 1
     (count_occurrences "weird \\\"name\\\"\\nwith\\\\escapes" json)
 
+let test_json_string () =
+  Alcotest.(check string) "escapes" {|"q\"b\\n\nt\tc\u0001."|}
+    (Export.json_string "q\"b\\n\nt\tc\x01.");
+  Alcotest.(check string) "plain and UTF-8 bytes pass through" "\"a\xc2\xb1\""
+    (Export.json_string "a\xc2\xb1")
+
 let test_profile_tree () =
   let t = Tracer.create () in
   Tracer.with_span t "root" (fun () ->
@@ -404,6 +410,7 @@ let tests =
     Alcotest.test_case "sink" `Quick test_sink;
     Alcotest.test_case "chrome trace export" `Quick test_chrome_trace;
     Alcotest.test_case "JSON escaping" `Quick test_json_escaping;
+    Alcotest.test_case "JSON string literal" `Quick test_json_string;
     Alcotest.test_case "profile tree" `Quick test_profile_tree;
     Alcotest.test_case "four-port event sequence" `Quick
       test_four_port_sequence;
